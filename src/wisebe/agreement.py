@@ -16,7 +16,7 @@ from .model import ReferenceSet
 class AgreementStats:
     doc_id: str
     agreement_ratio: float
-    kappa: float
+    kappa: float | None
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,15 @@ def fleiss_kappa(refs: ReferenceSet) -> float:
 
 
 def agreement_stats(refs: ReferenceSet) -> AgreementStats:
+    """Agreement ratio and Fleiss' kappa.  Kappa is None where it is
+    undefined (every reference marks every token); the ratio and the
+    window-based score are still defined there."""
     general = build_general_reference(refs)
-    return AgreementStats(refs.doc_id, general.ar, fleiss_kappa(refs))
+    try:
+        kappa = fleiss_kappa(refs)
+    except DegenerateAgreement:
+        kappa = None
+    return AgreementStats(refs.doc_id, general.ar, kappa)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:

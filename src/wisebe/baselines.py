@@ -5,9 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import fmean
+from typing import Iterable
 
-from .errors import AlignmentError, NoBoundaries
-from .model import BoundaryVector, ReferenceSet
+from .errors import NoBoundaries
+from .model import BoundaryVector, ReferenceSet, check_aligned
 from .scoring import harmonic_f1
 
 
@@ -36,21 +37,9 @@ class SerScore:
     ser: float
 
 
-def _check_pair(cand: BoundaryVector, ref: BoundaryVector):
-    if cand.n != ref.n:
-        raise AlignmentError(
-            f"candidate has {cand.n} positions, reference {ref.label!r} has {ref.n}",
-            position=min(cand.n, ref.n),
-        )
-    if cand.doc_id and ref.doc_id and cand.doc_id != ref.doc_id:
-        raise AlignmentError(
-            f"candidate for {cand.doc_id!r} scored against reference of {ref.doc_id!r}"
-        )
-
-
 def strict_prf(cand: BoundaryVector, ref: BoundaryVector) -> PRF:
     """Position-exact precision/recall/F1 against a single reference."""
-    _check_pair(cand, ref)
+    check_aligned(cand, ref, f"candidate vs reference {ref.label!r}")
     tp = fp = fn = 0
     for c, r in zip(cand.bits, ref.bits):
         if c and r:
@@ -68,7 +57,12 @@ def mean_prf(cand: BoundaryVector, refs: ReferenceSet) -> PRF:
     Note the mean F1 is the mean of the per-reference F1 values, not
     the harmonic mean of the averaged precision and recall.
     """
-    scores = [strict_prf(cand, ref) for ref in refs.references]
+    return average_prf([strict_prf(cand, ref) for ref in refs.references])
+
+
+def average_prf(scores: Iterable[PRF]) -> PRF:
+    """Component-wise arithmetic mean of PRF values, without counts."""
+    scores = list(scores)
     return PRF(
         fmean(s.precision for s in scores),
         fmean(s.recall for s in scores),
@@ -79,10 +73,24 @@ def mean_prf(cand: BoundaryVector, refs: ReferenceSet) -> PRF:
 def slot_error_rate(cand: BoundaryVector, ref: BoundaryVector) -> SerScore:
     """Insertions plus deletions over the number of reference boundaries."""
     prf = strict_prf(cand, ref)
-    slots = ref.boundary_count
-    if slots == 0:
+    ser = ser_from_counts(prf)
+    if ser is None:
         raise NoBoundaries(f"reference {ref.label or ref.doc_id!r} marks no boundaries")
-    return SerScore(prf.fp, prf.fn, (prf.fp + prf.fn) / slots)
+    return SerScore(prf.fp, prf.fn, ser)
+
+
+def ser_from_counts(prf: PRF) -> float | None:
+    """SER of one pairing's strict counts; the reference's boundaries are
+    tp + fn.  None when the reference marks none."""
+    slots = prf.tp + prf.fn
+    return (prf.fp + prf.fn) / slots if slots else None
+
+
+def mean_ser_from_counts(scores: Iterable[PRF]) -> float | None:
+    """Mean SER over per-reference strict PRF; None when some reference
+    marks no boundary."""
+    sers = [ser_from_counts(s) for s in scores]
+    return None if None in sers else fmean(sers)
 
 
 def mean_ser(cand: BoundaryVector, refs: ReferenceSet) -> float:
@@ -94,7 +102,7 @@ def lenient_prf(cand: BoundaryVector, refs: ReferenceSet) -> PRF:
     any reference has it; only boundaries all references share can be
     missed."""
     for ref in refs.references:
-        _check_pair(cand, ref)
+        check_aligned(cand, ref, f"candidate vs reference {ref.label!r}")
     tp = fp = fn = 0
     for j, c in enumerate(cand.bits):
         votes = sum(ref.bits[j] for ref in refs.references)

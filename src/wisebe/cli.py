@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .aggregation import DEFAULT_WINDOW_LIMIT
@@ -65,24 +66,12 @@ def _config(args) -> EvalConfig:
     )
 
 
-def _cmd_eval(args) -> int:
-    config = _config(args)
+def _cmd_corpus(args, evaluate, render) -> int:
+    """Report on every document under the corpus root; exit 1 if any failed."""
     layout = load_corpus(args.root)
     _warn(layout.warnings)
-    report = evaluate_corpus(layout, config)
-    _write(render_report(report, args.format), args.output)
-    if report.errors:
-        _emit_errors([{"doc_id": e.doc_id, "kind": e.kind, "message": e.message}
-                      for e in report.errors])
-        return 1
-    return 0
-
-
-def _cmd_agreement(args) -> int:
-    layout = load_corpus(args.root)
-    _warn(layout.warnings)
-    report = evaluate_agreement(layout)
-    _write(render_agreement(report, args.format), args.output)
+    report = evaluate(layout)
+    _write(render(report, args.format), args.output)
     if report.errors:
         _emit_errors([{"doc_id": e.doc_id, "kind": e.kind, "message": e.message}
                       for e in report.errors])
@@ -138,12 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", parents=[common, scoring],
                             help="evaluate every document under a corpus root")
     p_eval.add_argument("root", type=Path, help="corpus root directory")
-    p_eval.set_defaults(func=_cmd_eval)
+    p_eval.set_defaults(func=lambda args: _cmd_corpus(
+        args, partial(evaluate_corpus, config=_config(args)), render_report))
 
     p_agree = sub.add_parser("agreement", parents=[common],
                              help="reference agreement statistics only")
     p_agree.add_argument("root", type=Path, help="corpus root directory")
-    p_agree.set_defaults(func=_cmd_agreement)
+    p_agree.set_defaults(func=lambda args: _cmd_corpus(
+        args, evaluate_agreement, render_agreement))
 
     p_score = sub.add_parser("score", parents=[common, scoring],
                              help="score one document given explicit files")

@@ -91,6 +91,20 @@ class BoundaryVector:
         return cls(doc_id, tuple(bits), origin, label)
 
 
+def check_aligned(left, right, what: str, strict_doc_id: bool = False) -> None:
+    """Raise AlignmentError unless `left` and `right` (anything with `n`
+    and `doc_id`) cover the same positions of the same document.
+
+    Lengths are checked before document ids.  An empty doc id matches
+    any other unless `strict_doc_id` is set.
+    """
+    if left.n != right.n:
+        raise AlignmentError(f"{what}: {left.n} vs {right.n} positions",
+                             position=min(left.n, right.n))
+    if left.doc_id != right.doc_id and (strict_doc_id or (left.doc_id and right.doc_id)):
+        raise AlignmentError(f"{what}: document {left.doc_id!r} vs {right.doc_id!r}")
+
+
 @dataclass(frozen=True)
 class ReferenceSet:
     """Two or more aligned reference segmentations of one document."""
@@ -105,19 +119,11 @@ class ReferenceSet:
             raise MissingReferences(
                 f"document {self.doc_id!r} has {len(refs)} reference(s), need at least 2"
             )
-        first = refs[0]
         for ref in refs:
             if ref.origin != REFERENCE:
                 raise ValueError(f"{ref.label!r} is not a reference segmentation")
-            if ref.doc_id != self.doc_id:
-                raise AlignmentError(
-                    f"reference {ref.label!r} belongs to {ref.doc_id!r}, not {self.doc_id!r}"
-                )
-            if ref.n != first.n:
-                raise AlignmentError(
-                    f"reference {ref.label!r} has {ref.n} positions, expected {first.n}",
-                    position=min(ref.n, first.n),
-                )
+            check_aligned(ref, self, f"reference {ref.label!r} of document {self.doc_id!r}",
+                          strict_doc_id=True)
 
     @property
     def m(self) -> int:

@@ -7,19 +7,16 @@ import io
 import json
 from dataclasses import dataclass
 from statistics import fmean
+from typing import Callable
 
-from .aggregation import (DEFAULT_WINDOW_LIMIT, build_general_reference,
-                          consensus_reference)
-from .agreement import AgreementStats, CorrelationResult, fleiss_kappa, pearson
-from .baselines import PRF, lenient_prf, mean_prf, mean_ser, strict_prf
+from .aggregation import DEFAULT_WINDOW_LIMIT, consensus_reference
+from .agreement import (AgreementStats, CorrelationResult, agreement_stats,
+                        pearson)
+from .baselines import (PRF, average_prf, lenient_prf, mean_ser_from_counts,
+                        strict_prf)
 from .corpus import CorpusLayout, Document, load_document
 from .errors import ConstantSequence, UnknownFormat, WisebeError
 from .scoring import WisebeScore, wisebe_score
-
-REPORT_FIELDS = ("doc_id", "system", "precision", "recall", "f1",
-                 "f1_mean", "f1_rw", "agreement_ratio", "wisebe", "kappa")
-BASELINE_FIELDS = ("mean_ser", "lenient_precision", "lenient_recall", "lenient_f1")
-CONSENSUS_FIELDS = ("consensus_precision", "consensus_recall", "consensus_f1")
 
 MEAN_ROW_ID = "mean"
 
@@ -33,32 +30,19 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class SystemRow:
-    """All scores of one system on one document, at full precision."""
+    """All scores of one system on one document, at full precision.
+
+    A per-system mean row has doc_id "mean" and no per-reference scores;
+    each of its values is the arithmetic mean over the system's document
+    rows, or None when some document's value is None.
+    """
 
     doc_id: str
     system: str
     per_reference: tuple[tuple[str, PRF], ...]
     mean: PRF
     score: WisebeScore
-    kappa: float
-    candidate_boundaries: int
-    mean_ser: float | None = None
-    lenient: PRF | None = None
-    consensus: PRF | None = None
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    """Arithmetic means of one system's rows across all scored documents."""
-
-    system: str
-    precision: float
-    recall: float
-    f1_mean: float
-    f1_rw: float
-    agreement_ratio: float
-    wisebe: float
-    kappa: float
+    kappa: float | None
     mean_ser: float | None = None
     lenient: PRF | None = None
     consensus: PRF | None = None
@@ -69,8 +53,9 @@ class DocumentSummary:
     doc_id: str
     token_count: int
     agreement_ratio: float
-    kappa: float
+    kappa: float | None
     reference_boundaries: tuple[tuple[str, int], ...]
+    system_boundaries: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -84,7 +69,7 @@ class DocumentError:
 class EvaluationReport:
     rows: tuple[SystemRow, ...]
     documents: tuple[DocumentSummary, ...]
-    aggregates: tuple[AggregateRow, ...]
+    aggregates: tuple[SystemRow, ...]
     correlation: CorrelationResult | None
     errors: tuple[DocumentError, ...] = ()
 
@@ -96,128 +81,175 @@ class AgreementReport:
     errors: tuple[DocumentError, ...] = ()
 
 
+def _mean_score(scores: list[WisebeScore]) -> WisebeScore:
+    return WisebeScore(fmean(s.precision_rw for s in scores),
+                       fmean(s.recall_rw for s in scores),
+                       fmean(s.f1_rw for s in scores),
+                       fmean(s.agreement_ratio for s in scores),
+                       fmean(s.wisebe for s in scores))
+
+
+def _mean_defined(average: Callable, values: list):
+    """`average(values)`, or None when some value is None."""
+    return None if any(v is None for v in values) else average(values)
+
+
 def evaluate_document(doc: Document,
                       config: EvalConfig = EvalConfig()) -> tuple[DocumentSummary, list[SystemRow]]:
     """Score every candidate of one loaded document."""
     refs = doc.references
-    general = build_general_reference(refs)
-    kappa = fleiss_kappa(refs)
+    stats = agreement_stats(refs)
+    candidates = sorted(doc.candidates)
     summary = DocumentSummary(
-        doc.doc_id, doc.transcript.n, general.ar, kappa,
+        doc.doc_id, doc.transcript.n, stats.agreement_ratio, stats.kappa,
         tuple((ref.label, ref.boundary_count) for ref in refs.references),
+        tuple((name, cand.boundary_count) for name, cand in candidates),
     )
     consensus = (consensus_reference(refs, config.consensus_threshold)
                  if config.consensus_threshold is not None else None)
     rows = []
-    for name, cand in sorted(doc.candidates):
+    for name, cand in candidates:
+        scores = [strict_prf(cand, ref) for ref in refs.references]
         rows.append(SystemRow(
             doc_id=doc.doc_id,
             system=name,
-            per_reference=tuple((ref.label, strict_prf(cand, ref)) for ref in refs.references),
-            mean=mean_prf(cand, refs),
+            per_reference=tuple(zip((ref.label for ref in refs.references), scores)),
+            mean=average_prf(scores),
             score=wisebe_score(cand, refs, config.window_limit),
-            kappa=kappa,
-            candidate_boundaries=cand.boundary_count,
-            mean_ser=mean_ser(cand, refs) if config.baselines else None,
+            kappa=stats.kappa,
+            mean_ser=mean_ser_from_counts(scores) if config.baselines else None,
             lenient=lenient_prf(cand, refs) if config.baselines else None,
             consensus=strict_prf(cand, consensus) if consensus is not None else None,
         ))
     return summary, rows
 
 
-def _mean_prf_of(values: list[PRF]) -> PRF:
-    return PRF(
-        fmean(v.precision for v in values),
-        fmean(v.recall for v in values),
-        fmean(v.f1 for v in values),
-    )
-
-
-def _aggregate(rows: tuple[SystemRow, ...]) -> tuple[AggregateRow, ...]:
+def _mean_rows(rows) -> tuple[SystemRow, ...]:
     by_system: dict[str, list[SystemRow]] = {}
     for row in rows:
         by_system.setdefault(row.system, []).append(row)
-    aggregates = []
-    for system in sorted(by_system):
-        group = by_system[system]
-        aggregates.append(AggregateRow(
-            system=system,
-            precision=fmean(r.mean.precision for r in group),
-            recall=fmean(r.mean.recall for r in group),
-            f1_mean=fmean(r.mean.f1 for r in group),
-            f1_rw=fmean(r.score.f1_rw for r in group),
-            agreement_ratio=fmean(r.score.agreement_ratio for r in group),
-            wisebe=fmean(r.score.wisebe for r in group),
-            kappa=fmean(r.kappa for r in group),
-            mean_ser=(fmean(r.mean_ser for r in group)
-                      if all(r.mean_ser is not None for r in group) else None),
-            lenient=(_mean_prf_of([r.lenient for r in group])
-                     if all(r.lenient is not None for r in group) else None),
-            consensus=(_mean_prf_of([r.consensus for r in group])
-                       if all(r.consensus is not None for r in group) else None),
-        ))
-    return tuple(aggregates)
+    return tuple(
+        SystemRow(MEAN_ROW_ID, system, (),
+                  mean=average_prf(r.mean for r in group),
+                  score=_mean_score([r.score for r in group]),
+                  kappa=_mean_defined(fmean, [r.kappa for r in group]),
+                  mean_ser=_mean_defined(fmean, [r.mean_ser for r in group]),
+                  lenient=_mean_defined(average_prf, [r.lenient for r in group]),
+                  consensus=_mean_defined(average_prf, [r.consensus for r in group]))
+        for system, group in sorted(by_system.items())
+    )
 
 
-def _correlate(pairs: list[tuple[float, float]]) -> CorrelationResult | None:
+def _correlate(documents) -> CorrelationResult | None:
+    """Pearson r of (agreement ratio, kappa) over documents with a defined kappa."""
+    pairs = [(d.agreement_ratio, d.kappa) for d in documents if d.kappa is not None]
     if len(pairs) < 2:
         return None
+    xs, ys = zip(*pairs)
     try:
-        return pearson([p[0] for p in pairs], [p[1] for p in pairs])
+        return pearson(xs, ys)
     except ConstantSequence:
         return None
+
+
+def _each_document(layout: CorpusLayout, evaluate: Callable[[Document], object]):
+    """Apply `evaluate` to every loaded document, collecting per-document
+    failures instead of aborting the run."""
+    results = []
+    errors: list[DocumentError] = []
+    for files in layout.documents:
+        try:
+            results.append(evaluate(load_document(files)))
+        except (WisebeError, ValueError, OSError) as exc:
+            errors.append(DocumentError(files.doc_id, type(exc).__name__, str(exc)))
+    return results, tuple(errors)
 
 
 def evaluate_corpus(layout: CorpusLayout,
                     config: EvalConfig = EvalConfig()) -> EvaluationReport:
     """Score a whole corpus, collecting per-document failures instead of
     aborting the run."""
-    rows: list[SystemRow] = []
-    summaries: list[DocumentSummary] = []
-    errors: list[DocumentError] = []
-    for files in layout.documents:
-        try:
-            doc = load_document(files)
-            summary, doc_rows = evaluate_document(doc, config)
-        except (WisebeError, ValueError, OSError) as exc:
-            errors.append(DocumentError(files.doc_id, type(exc).__name__, str(exc)))
-            continue
-        summaries.append(summary)
-        rows.extend(doc_rows)
-    correlation = _correlate([(s.agreement_ratio, s.kappa) for s in summaries])
-    return EvaluationReport(tuple(rows), tuple(summaries), _aggregate(tuple(rows)),
-                            correlation, tuple(errors))
+    results, errors = _each_document(layout, lambda doc: evaluate_document(doc, config))
+    summaries = tuple(summary for summary, _ in results)
+    rows = tuple(row for _, doc_rows in results for row in doc_rows)
+    return EvaluationReport(rows, summaries, _mean_rows(rows), _correlate(summaries), errors)
 
 
 def evaluate_single(doc: Document, config: EvalConfig = EvalConfig()) -> EvaluationReport:
     """Report for one already-loaded document (no cross-document correlation)."""
     summary, rows = evaluate_document(doc, config)
-    return EvaluationReport(tuple(rows), (summary,), _aggregate(tuple(rows)), None, ())
+    return EvaluationReport(tuple(rows), (summary,), _mean_rows(rows), None, ())
 
 
 def evaluate_agreement(layout: CorpusLayout) -> AgreementReport:
     """Reference-only pass: agreement ratio and kappa per document."""
-    stats: list[AgreementStats] = []
-    errors: list[DocumentError] = []
-    for files in layout.documents:
-        try:
-            doc = load_document(files)
-            refs = doc.references
-            stats.append(AgreementStats(doc.doc_id,
-                                        build_general_reference(refs).ar,
-                                        fleiss_kappa(refs)))
-        except (WisebeError, ValueError, OSError) as exc:
-            errors.append(DocumentError(files.doc_id, type(exc).__name__, str(exc)))
-    correlation = _correlate([(s.agreement_ratio, s.kappa) for s in stats])
-    return AgreementReport(tuple(stats), correlation, tuple(errors))
+    stats, errors = _each_document(layout, lambda doc: agreement_stats(doc.references))
+    return AgreementReport(tuple(stats), _correlate(stats), errors)
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
-def _round3(x: float) -> float:
+@dataclass(frozen=True)
+class Column:
+    """One report column: its json/csv key, its table header (None when
+    the column has no table cell), the dotted attribute path of its value,
+    and the optional group it is shown with."""
+
+    name: str
+    header: str | None
+    path: str
+    group: str | None = None
+
+    def get(self, item):
+        value = item
+        for attr in self.path.split("."):
+            value = None if value is None else getattr(value, attr)
+        return value
+
+
+# Row columns in report order.  json and csv carry every column of a
+# group that some row has a value for; the table's windowed section
+# shows the ungrouped columns with a header, its baseline section the
+# key columns and the grouped ones.
+COLUMNS = (
+    Column("doc_id", "doc", "doc_id"),
+    Column("system", "system", "system"),
+    Column("precision", None, "mean.precision"),
+    Column("recall", None, "mean.recall"),
+    Column("f1", None, "mean.f1"),
+    Column("f1_mean", "f1_mean", "mean.f1"),
+    Column("f1_rw", "f1_rw", "score.f1_rw"),
+    Column("agreement_ratio", "agreement_ratio", "score.agreement_ratio"),
+    Column("wisebe", "wisebe", "score.wisebe"),
+    Column("kappa", None, "kappa"),
+    Column("mean_ser", "mean_ser", "mean_ser", "baselines"),
+    Column("lenient_precision", "lenient_p", "lenient.precision", "baselines"),
+    Column("lenient_recall", "lenient_r", "lenient.recall", "baselines"),
+    Column("lenient_f1", "lenient_f1", "lenient.f1", "baselines"),
+    Column("consensus_precision", "consensus_p", "consensus.precision", "consensus"),
+    Column("consensus_recall", "consensus_r", "consensus.recall", "consensus"),
+    Column("consensus_f1", "consensus_f1", "consensus.f1", "consensus"),
+)
+REPORT_FIELDS = tuple(c.name for c in COLUMNS if c.group is None)
+
+# Per-document reference agreement, for DocumentSummary and AgreementStats.
+AGREEMENT_COLUMNS = (
+    Column("doc_id", "doc", "doc_id"),
+    Column("agreement_ratio", "agreement_ratio", "agreement_ratio"),
+    Column("kappa", "kappa", "kappa"),
+)
+
+REPORT_FORMATS = ("csv", "json", "table")
+
+
+def _groups(rows: tuple[SystemRow, ...]) -> set[str]:
+    return {c.group for c in COLUMNS if c.group for r in rows if c.get(r) is not None}
+
+
+def _round3(x):
     """Display rounding: bankers' rounding at three decimals."""
-    return round(x, 3)
+    return round(x, 3) if isinstance(x, float) else x
 
 
 def _fmt(x) -> str:
@@ -228,84 +260,23 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _fields_for(report: EvaluationReport) -> tuple[str, ...]:
-    fields = REPORT_FIELDS
-    if any(r.mean_ser is not None or r.lenient is not None for r in report.rows):
-        fields += BASELINE_FIELDS
-    if any(r.consensus is not None for r in report.rows):
-        fields += CONSENSUS_FIELDS
-    return fields
+def _cells(columns, items) -> list[list[str]]:
+    return [[_fmt(c.get(item)) for c in columns] for item in items]
 
 
-def _row_record(row: SystemRow) -> dict:
-    record = {
-        "doc_id": row.doc_id,
-        "system": row.system,
-        "precision": row.mean.precision,
-        "recall": row.mean.recall,
-        "f1": row.mean.f1,
-        "f1_mean": row.mean.f1,
-        "f1_rw": row.score.f1_rw,
-        "agreement_ratio": row.score.agreement_ratio,
-        "wisebe": row.score.wisebe,
-        "kappa": row.kappa,
-    }
-    if row.mean_ser is not None or row.lenient is not None:
-        record["mean_ser"] = row.mean_ser
-        record["lenient_precision"] = row.lenient.precision if row.lenient else None
-        record["lenient_recall"] = row.lenient.recall if row.lenient else None
-        record["lenient_f1"] = row.lenient.f1 if row.lenient else None
-    if row.consensus is not None:
-        record["consensus_precision"] = row.consensus.precision
-        record["consensus_recall"] = row.consensus.recall
-        record["consensus_f1"] = row.consensus.f1
-    return record
+def _record(columns, item) -> dict:
+    return {c.name: _round3(c.get(item)) for c in columns}
 
 
-def _aggregate_record(agg: AggregateRow) -> dict:
-    record = {
-        "doc_id": MEAN_ROW_ID,
-        "system": agg.system,
-        "precision": agg.precision,
-        "recall": agg.recall,
-        "f1": agg.f1_mean,
-        "f1_mean": agg.f1_mean,
-        "f1_rw": agg.f1_rw,
-        "agreement_ratio": agg.agreement_ratio,
-        "wisebe": agg.wisebe,
-        "kappa": agg.kappa,
-    }
-    if agg.mean_ser is not None or agg.lenient is not None:
-        record["mean_ser"] = agg.mean_ser
-        record["lenient_precision"] = agg.lenient.precision if agg.lenient else None
-        record["lenient_recall"] = agg.lenient.recall if agg.lenient else None
-        record["lenient_f1"] = agg.lenient.f1 if agg.lenient else None
-    if agg.consensus is not None:
-        record["consensus_precision"] = agg.consensus.precision
-        record["consensus_recall"] = agg.consensus.recall
-        record["consensus_f1"] = agg.consensus.f1
-    return record
+def _json(payload) -> bytes:
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
-def _records(report: EvaluationReport) -> list[dict]:
-    return [_row_record(r) for r in report.rows] + \
-           [_aggregate_record(a) for a in report.aggregates]
-
-
-def _render_json(report: EvaluationReport) -> bytes:
-    records = []
-    for record in _records(report):
-        records.append({k: _round3(v) if isinstance(v, float) else v
-                        for k, v in record.items()})
-    return (json.dumps(records, indent=2) + "\n").encode("utf-8")
-
-
-def _render_csv(report: EvaluationReport) -> bytes:
+def _csv(columns, items) -> bytes:
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=_fields_for(report), lineterminator="\n")
-    writer.writeheader()
-    for record in _records(report):
-        writer.writerow({k: _fmt(v) for k, v in record.items()})
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([c.name for c in columns])
+    writer.writerows(_cells(columns, items))
     return out.getvalue().encode("utf-8")
 
 
@@ -320,134 +291,83 @@ def _table(header: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def _render_table(report: EvaluationReport) -> bytes:
-    lines: list[str] = []
+def _section(title: str, header: list[str], rows: list[list[str]]) -> list[str]:
+    return [f"== {title} ==", *_table(header, rows)]
 
+
+def _column_section(title: str, columns, items) -> list[str]:
+    return _section(title, [c.header for c in columns], _cells(columns, items))
+
+
+def _agreement_section(documents, correlation: CorrelationResult | None) -> list[str]:
+    lines = _column_section("reference agreement", AGREEMENT_COLUMNS, documents)
+    if correlation is not None:
+        lines.append(f"pearson r = {_fmt(correlation.pcc)} "
+                     f"over {correlation.sample_count} documents")
+    else:
+        lines.append("pearson r: not computed (needs two varying documents)")
+    return lines
+
+
+def _text(sections: list[list[str]]) -> bytes:
+    """Table sections separated by one blank line."""
+    return ("\n\n".join("\n".join(lines) for lines in sections) + "\n").encode("utf-8")
+
+
+def _render_table(report: EvaluationReport, groups: set[str]) -> bytes:
+    sections: list[list[str]] = []
     if report.documents:
-        lines.append("== boundary counts ==")
-        counts = []
-        rows_by_doc = {}
-        for row in report.rows:
-            rows_by_doc.setdefault(row.doc_id, []).append(row)
-        for doc in report.documents:
-            for label, count in doc.reference_boundaries:
-                counts.append([doc.doc_id, label, str(count)])
-            for row in rows_by_doc.get(doc.doc_id, []):
-                counts.append([doc.doc_id, row.system, str(row.candidate_boundaries)])
-        lines += _table(["doc", "source", "boundaries"], counts)
-        lines.append("")
-
+        sections.append(_section("boundary counts", ["doc", "source", "boundaries"], [
+            [d.doc_id, label, str(count)] for d in report.documents
+            for label, count in (*d.reference_boundaries, *d.system_boundaries)]))
     if report.rows:
-        lines.append("== exact-position scores ==")
-        per_ref = []
-        for row in report.rows:
-            for label, prf in row.per_reference:
-                per_ref.append([row.doc_id, row.system, label,
-                                _fmt(prf.precision), _fmt(prf.recall), _fmt(prf.f1)])
-            per_ref.append([row.doc_id, row.system, MEAN_ROW_ID,
-                            _fmt(row.mean.precision), _fmt(row.mean.recall),
-                            _fmt(row.mean.f1)])
-        lines += _table(["doc", "system", "reference", "precision", "recall", "f1"],
-                        per_ref)
-        lines.append("")
-
-        lines.append("== windowed scores ==")
-        windowed = [[r.doc_id, r.system, _fmt(r.mean.f1), _fmt(r.score.f1_rw),
-                     _fmt(r.score.agreement_ratio), _fmt(r.score.wisebe)]
-                    for r in report.rows]
-        windowed += [[MEAN_ROW_ID, a.system, _fmt(a.f1_mean), _fmt(a.f1_rw),
-                      _fmt(a.agreement_ratio), _fmt(a.wisebe)]
-                     for a in report.aggregates]
-        lines += _table(["doc", "system", "f1_mean", "f1_rw", "agreement_ratio", "wisebe"],
-                        windowed)
-        lines.append("")
-
-    if any(r.mean_ser is not None or r.lenient is not None or r.consensus is not None
-           for r in report.rows):
-        lines.append("== baseline scores ==")
-        header = ["doc", "system", "mean_ser",
-                  "lenient_p", "lenient_r", "lenient_f1"]
-        with_consensus = any(r.consensus is not None for r in report.rows)
-        if with_consensus:
-            header += ["consensus_p", "consensus_r", "consensus_f1"]
-        base_rows = []
-        for r in report.rows:
-            cells = [r.doc_id, r.system, _fmt(r.mean_ser),
-                     _fmt(r.lenient.precision if r.lenient else None),
-                     _fmt(r.lenient.recall if r.lenient else None),
-                     _fmt(r.lenient.f1 if r.lenient else None)]
-            if with_consensus:
-                cells += [_fmt(r.consensus.precision if r.consensus else None),
-                          _fmt(r.consensus.recall if r.consensus else None),
-                          _fmt(r.consensus.f1 if r.consensus else None)]
-            base_rows.append(cells)
-        lines += _table(header, base_rows)
-        lines.append("")
-
+        sections.append(_section(
+            "exact-position scores", ["doc", "system", "reference", "precision", "recall", "f1"],
+            [[r.doc_id, r.system, label, _fmt(prf.precision), _fmt(prf.recall), _fmt(prf.f1)]
+             for r in report.rows for label, prf in (*r.per_reference, (MEAN_ROW_ID, r.mean))]))
+        sections.append(_column_section("windowed scores",
+                                        [c for c in COLUMNS if c.header and not c.group],
+                                        report.rows + report.aggregates))
+    if groups:
+        # Once the section is there it always shows the baseline columns.
+        columns = [*COLUMNS[:2],
+                   *(c for c in COLUMNS if c.group == "baselines" or c.group in groups)]
+        sections.append(_column_section("baseline scores", columns, report.rows))
     if report.documents:
-        lines.append("== reference agreement ==")
-        agreement = [[d.doc_id, _fmt(d.agreement_ratio), _fmt(d.kappa)]
-                     for d in report.documents]
-        lines += _table(["doc", "agreement_ratio", "kappa"], agreement)
-        if report.correlation is not None:
-            lines.append(f"pearson r = {_fmt(report.correlation.pcc)} "
-                         f"over {report.correlation.sample_count} documents")
-        else:
-            lines.append("pearson r: not computed (needs two varying documents)")
-        lines.append("")
-
+        sections.append(_agreement_section(report.documents, report.correlation))
     if report.errors:
-        lines.append("== document errors ==")
-        lines += _table(["doc", "kind", "message"],
-                        [[e.doc_id, e.kind, e.message] for e in report.errors])
-        lines.append("")
-
-    if not lines:
-        lines = ["(empty corpus: nothing evaluated)", ""]
-    return ("\n".join(lines).rstrip("\n") + "\n").encode("utf-8")
+        sections.append(_section("document errors", ["doc", "kind", "message"],
+                                 [[e.doc_id, e.kind, e.message] for e in report.errors]))
+    return _text(sections or [["(empty corpus: nothing evaluated)"]])
 
 
-_RENDERERS = {"table": _render_table, "json": _render_json, "csv": _render_csv}
-REPORT_FORMATS = tuple(sorted(_RENDERERS))
+def _render(fmt: str, **renderers: Callable[[], bytes]) -> bytes:
+    """Dispatch on `fmt`; each report passes one renderer per REPORT_FORMATS entry."""
+    if renderers.keys() != set(REPORT_FORMATS):
+        raise TypeError(f"renderers {sorted(renderers)} do not match {REPORT_FORMATS}")
+    if fmt not in renderers:
+        raise UnknownFormat(f"unknown report format {fmt!r}, "
+                            f"expected one of {REPORT_FORMATS}")
+    return renderers[fmt]()
 
 
 def render_report(report: EvaluationReport, fmt: str = "table") -> bytes:
     """Render an evaluation report; byte output is deterministic per input."""
-    try:
-        renderer = _RENDERERS[fmt]
-    except KeyError:
-        raise UnknownFormat(f"unknown report format {fmt!r}, "
-                            f"expected one of {REPORT_FORMATS}") from None
-    return renderer(report)
+    groups = _groups(report.rows)
+    columns = [c for c in COLUMNS if c.group is None or c.group in groups]
+    rows = report.rows + report.aggregates
+    return _render(fmt, table=lambda: _render_table(report, groups),
+                   json=lambda: _json([_record(columns, r) for r in rows]),
+                   csv=lambda: _csv(columns, rows))
 
 
 def render_agreement(report: AgreementReport, fmt: str = "table") -> bytes:
-    if fmt not in _RENDERERS:
-        raise UnknownFormat(f"unknown report format {fmt!r}, "
-                            f"expected one of {REPORT_FORMATS}")
-    if fmt == "json":
-        payload = {
-            "documents": [{"doc_id": s.doc_id,
-                           "agreement_ratio": _round3(s.agreement_ratio),
-                           "kappa": _round3(s.kappa)} for s in report.documents],
-            "pcc": _round3(report.correlation.pcc) if report.correlation else None,
-            "sample_count": report.correlation.sample_count if report.correlation else 0,
-        }
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["doc_id", "agreement_ratio", "kappa"])
-        for s in report.documents:
-            writer.writerow([s.doc_id, _fmt(s.agreement_ratio), _fmt(s.kappa)])
-        return out.getvalue().encode("utf-8")
-    lines = ["== reference agreement =="]
-    lines += _table(["doc", "agreement_ratio", "kappa"],
-                    [[s.doc_id, _fmt(s.agreement_ratio), _fmt(s.kappa)]
-                     for s in report.documents])
-    if report.correlation is not None:
-        lines.append(f"pearson r = {_fmt(report.correlation.pcc)} "
-                     f"over {report.correlation.sample_count} documents")
-    else:
-        lines.append("pearson r: not computed (needs two varying documents)")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """Render a reference-only agreement report."""
+    correlation = report.correlation
+    return _render(fmt, table=lambda: _text([_agreement_section(report.documents, correlation)]),
+                   json=lambda: _json({
+                       "documents": [_record(AGREEMENT_COLUMNS, s) for s in report.documents],
+                       "pcc": _round3(correlation.pcc) if correlation else None,
+                       "sample_count": correlation.sample_count if correlation else 0,
+                   }),
+                   csv=lambda: _csv(AGREEMENT_COLUMNS, report.documents))

@@ -7,8 +7,8 @@ from itertools import accumulate
 
 from .aggregation import (DEFAULT_WINDOW_LIMIT, WindowReference,
                           build_general_reference, build_window_reference)
-from .errors import AlignmentError, NoBoundaries
-from .model import BoundaryVector, ReferenceSet
+from .errors import NoBoundaries
+from .model import BoundaryVector, ReferenceSet, check_aligned
 
 
 def harmonic_f1(precision: float, recall: float) -> float:
@@ -29,18 +29,6 @@ class WisebeScore:
     wisebe: float
 
 
-def _check_aligned(cand: BoundaryVector, windows: WindowReference):
-    if cand.n != windows.n:
-        raise AlignmentError(
-            f"candidate has {cand.n} positions, window reference has {windows.n}",
-            position=min(cand.n, windows.n),
-        )
-    if cand.doc_id and windows.doc_id and cand.doc_id != windows.doc_id:
-        raise AlignmentError(
-            f"candidate for {cand.doc_id!r} scored against windows of {windows.doc_id!r}"
-        )
-
-
 def windowed_precision(cand: BoundaryVector, windows: WindowReference) -> float:
     """Fraction of candidate boundaries falling inside some window span.
 
@@ -48,7 +36,7 @@ def windowed_precision(cand: BoundaryVector, windows: WindowReference) -> float:
     window, so unvoted tokens inside a window still count as inside.
     A candidate without boundaries scores 0.0.
     """
-    _check_aligned(cand, windows)
+    check_aligned(cand, windows, "candidate vs window reference")
     total = cand.boundary_count
     if total == 0:
         return 0.0
@@ -62,7 +50,7 @@ def windowed_precision(cand: BoundaryVector, windows: WindowReference) -> float:
 
 def windowed_recall(cand: BoundaryVector, windows: WindowReference) -> float:
     """Fraction of windows containing at least one candidate boundary."""
-    _check_aligned(cand, windows)
+    check_aligned(cand, windows, "candidate vs window reference")
     if windows.p == 0:
         raise NoBoundaries(f"window reference for {windows.doc_id!r} is empty")
     # prefix[j] = number of candidate boundaries strictly before position j
@@ -79,15 +67,7 @@ def combine_score(f1_rw: float, agreement_ratio: float) -> float:
 def wisebe_score(cand: BoundaryVector, refs: ReferenceSet,
                  separation_limit: int = DEFAULT_WINDOW_LIMIT) -> WisebeScore:
     """Score a candidate against several references at once."""
-    if cand.n != refs.n:
-        raise AlignmentError(
-            f"candidate has {cand.n} positions, references have {refs.n}",
-            position=min(cand.n, refs.n),
-        )
-    if cand.doc_id and refs.doc_id and cand.doc_id != refs.doc_id:
-        raise AlignmentError(
-            f"candidate for {cand.doc_id!r} scored against references of {refs.doc_id!r}"
-        )
+    check_aligned(cand, refs, "candidate vs references")
     general = build_general_reference(refs)
     windows = build_window_reference(general, separation_limit)
     precision = windowed_precision(cand, windows)

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,11 @@ settings.register_profile(
 settings.load_profile("ci")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# pyproject.toml puts src/ on sys.path for this process; the tests that
+# run `python -m wisebe` in a subprocess need it on PYTHONPATH as well.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ from hypothesis import given
 from wisebe import (CANDIDATE, AlignmentError, BoundaryVector, NoBoundaries,
                     ReferenceSet, lenient_prf, mean_prf, mean_ser,
                     slot_error_rate, strict_prf)
+from wisebe.baselines import mean_ser_from_counts
 from oracles import strict_prf_by_sets
 from strategies import scoring_instances
 
@@ -88,6 +89,18 @@ def test_mean_ser_averages_over_references():
     cand = _vec(0, 0, 1, 0, 1)
     # ref_1: perfect (0.0); ref_2: one insertion, one deletion (1.0)
     assert mean_ser(cand, refs) == pytest.approx(0.5)
+
+
+def test_mean_ser_from_counts_matches_mean_ser_and_is_none_when_undefined():
+    cand = _vec(0, 0, 1, 0, 1)
+    refs = _refs((0, 0, 1, 0, 1), (0, 1, 0, 0, 1))
+    counts = [strict_prf(cand, ref) for ref in refs.references]
+    assert mean_ser_from_counts(counts) == mean_ser(cand, refs)
+    silent = _refs((0, 0, 1, 0, 1), (0, 0, 0, 0, 0))
+    counts = [strict_prf(cand, ref) for ref in silent.references]
+    assert mean_ser_from_counts(counts) is None
+    with pytest.raises(NoBoundaries):
+        mean_ser(cand, silent)
 
 
 def test_lenient_prf_union_and_intersection():

@@ -143,3 +143,39 @@ def test_cli_runs_as_module(demo_corpus):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(b"doc_id,system,")
+
+
+def _one_document_corpus(tmp_path, refs, system):
+    doc = tmp_path / "corpus" / "a"
+    doc.mkdir(parents=True)
+    for i, text in enumerate(refs, 1):
+        (doc / f"ref_{i}.txt").write_text(text, encoding="utf-8")
+    (doc / "sys_S.txt").write_text(system, encoding="utf-8")
+    return doc.parent
+
+
+def test_undefined_kappa_keeps_the_document(tmp_path, capsys):
+    # every reference marks the only token: Fleiss' kappa divides by zero
+    root = _one_document_corpus(tmp_path, ["hello.", "hello!"], "hello.")
+    code, data = run_cli(["eval", str(root)], tmp_path, fmt="json")
+    assert code == 0
+    row = json.loads(data)[0]
+    assert (row["doc_id"], row["wisebe"], row["kappa"]) == ("a", 1.0, None)
+    code, data = run_cli(["agreement", str(root)], tmp_path, fmt="csv")
+    assert code == 0
+    assert data.decode().splitlines()[1] == "a,1.000,"
+    assert capsys.readouterr().err == ""
+
+
+def test_reference_without_boundaries_blanks_mean_ser(tmp_path, capsys):
+    # ref_2 has no slots, so its slot error rate is undefined
+    root = _one_document_corpus(tmp_path, ["a b. c d.", "a b c d"], "a b. c d")
+    code, data = run_cli(["eval", str(root), "--baselines"], tmp_path, fmt="csv")
+    assert code == 0
+    header, row, mean = data.decode().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["doc_id"] == "a"
+    assert cells["mean_ser"] == ""
+    assert cells["lenient_f1"] == "1.000"
+    assert mean.startswith("mean,S,")
+    assert capsys.readouterr().err == ""

@@ -4,8 +4,10 @@ import hypothesis.strategies as st
 
 from wisebe import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
                     EmptyTranscript, MissingReferences, ReferenceSet,
-                    Transcript, align, normalize_and_tokenize,
-                    parse_segmented_text, to_segmented_text)
+                    Transcript, align, lenient_prf, normalize_and_tokenize,
+                    parse_segmented_text, strict_prf, to_segmented_text,
+                    windowed_precision, build_general_reference,
+                    build_window_reference, wisebe_score)
 from strategies import bit_lists, tokens
 
 
@@ -114,6 +116,24 @@ def test_reference_set_rejects_candidates_and_foreign_docs():
         ReferenceSet("d", (ref, BoundaryVector("d", (1, 0), CANDIDATE)))
     with pytest.raises(AlignmentError):
         ReferenceSet("d", (ref, BoundaryVector("other", (1, 0))))
+
+
+def test_alignment_check_matches_empty_doc_ids_unless_strict():
+    refs = ReferenceSet("d", (BoundaryVector("d", (1, 0)), BoundaryVector("d", (0, 1))))
+    windows = build_window_reference(build_general_reference(refs))
+    anonymous = BoundaryVector("", (1, 0), CANDIDATE)
+    # scoring lets a candidate without a doc id stand for any document
+    strict_prf(anonymous, refs.references[0])
+    lenient_prf(anonymous, refs)
+    windowed_precision(anonymous, windows)
+    wisebe_score(anonymous, refs)
+    # a reference set takes only references of its own document
+    with pytest.raises(AlignmentError):
+        ReferenceSet("d", (refs.references[0], BoundaryVector("", (1, 0))))
+    # lengths are compared before doc ids
+    with pytest.raises(AlignmentError) as err:
+        wisebe_score(BoundaryVector("other", (1, 0, 1), CANDIDATE), refs)
+    assert err.value.position == 2
 
 
 def test_align_reports_first_difference():

@@ -1,4 +1,5 @@
 import json
+import shutil
 from statistics import fmean
 
 import pytest
@@ -37,8 +38,8 @@ def test_demo_corpus_rows_are_sorted_and_complete(demo_report):
 def test_aggregates_use_full_precision_values(demo_report):
     s1 = next(a for a in demo_report.aggregates if a.system == "S1")
     rows = [r for r in demo_report.rows if r.system == "S1"]
-    assert s1.wisebe == pytest.approx(fmean(r.score.wisebe for r in rows), abs=1e-15)
-    assert s1.f1_mean == pytest.approx(fmean(r.mean.f1 for r in rows), abs=1e-15)
+    assert s1.score.wisebe == pytest.approx(fmean(r.score.wisebe for r in rows), abs=1e-15)
+    assert s1.mean.f1 == pytest.approx(fmean(r.mean.f1 for r in rows), abs=1e-15)
     assert s1.kappa == pytest.approx(fmean(r.kappa for r in rows), abs=1e-15)
 
 
@@ -149,3 +150,23 @@ def test_rendering_is_deterministic(demo_corpus):
     first = render_report(evaluate_corpus(layout), "json")
     second = render_report(evaluate_corpus(load_corpus(demo_corpus)), "json")
     assert first == second
+
+
+def test_undefined_kappa_is_left_out_of_means_and_correlation(demo_corpus, tmp_path):
+    for doc in ("v1", "v3", "v4"):
+        shutil.copytree(demo_corpus / doc, tmp_path / doc)
+    tiny = tmp_path / "tiny"
+    tiny.mkdir()
+    for name, text in (("ref_1", "hello."), ("ref_2", "hello!"), ("sys_S1", "hello.")):
+        (tiny / f"{name}.txt").write_text(text, encoding="utf-8")
+    layout = load_corpus(tmp_path)
+    agreement = evaluate_agreement(layout)
+    assert [s.kappa is None for s in agreement.documents] == [True, False, False, False]
+    assert agreement.correlation.sample_count == 3
+    report = evaluate_corpus(layout)
+    assert report.errors == ()
+    assert report.correlation == agreement.correlation
+    s1 = next(a for a in report.aggregates if a.system == "S1")
+    assert s1.kappa is None
+    assert s1.score.wisebe == pytest.approx(fmean(r.score.wisebe for r in report.rows
+                                                  if r.system == "S1"), abs=1e-15)
