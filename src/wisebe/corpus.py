@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import MissingReferences
+from .errors import DuplicateLabel, MissingReferences
 from .model import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
                     ReferenceSet, Transcript, align, parse_segmented_text)
 
@@ -155,6 +155,11 @@ def load_document(files: DocumentFiles) -> Document:
     """Read and align one document; any token disagreement is fatal."""
     if files.structured_path is not None:
         return _load_structured(files.structured_path, files.doc_id)
+    labels = [label for label, _ in files.sys_paths]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise DuplicateLabel(f"document {files.doc_id!r}: system label {label!r} "
+                                 f"is given {labels.count(label)} times")
     base: Transcript | None = None
     base_label = ""
     refs: list[BoundaryVector] = []
@@ -162,7 +167,7 @@ def load_document(files: DocumentFiles) -> Document:
     for origin, entries in ((REFERENCE, files.ref_paths), (CANDIDATE, files.sys_paths)):
         for label, path in entries:
             transcript, vector = parse_segmented_text(
-                path.read_text(encoding="utf-8"), files.doc_id, label, origin
+                path.read_text(encoding="utf-8-sig"), files.doc_id, label, origin
             )
             if base is None:
                 base, base_label = transcript, label

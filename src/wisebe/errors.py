@@ -43,5 +43,9 @@ class MissingReferences(WisebeError):
     """A document provides fewer than two reference segmentations."""
 
 
+class DuplicateLabel(WisebeError):
+    """Two system outputs of one document carry the same label."""
+
+
 class UnknownFormat(WisebeError):
     """Unsupported report format name."""

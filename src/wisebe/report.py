@@ -99,7 +99,7 @@ def evaluate_document(doc: Document,
     """Score every candidate of one loaded document."""
     refs = doc.references
     stats = agreement_stats(refs)
-    candidates = sorted(doc.candidates)
+    candidates = sorted(doc.candidates, key=lambda item: item[0])
     summary = DocumentSummary(
         doc.doc_id, doc.transcript.n, stats.agreement_ratio, stats.kappa,
         tuple((ref.label, ref.boundary_count) for ref in refs.references),

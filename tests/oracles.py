@@ -84,3 +84,33 @@ def pearson_by_moments(xs, ys):
     var_x = sum((x - mean_x) ** 2 for x in xs)
     var_y = sum((y - mean_y) ** 2 for y in ys)
     return cov / (var_x * var_y) ** 0.5
+
+
+def scan_by_characters(raw_text):
+    """(tokens, bits) of punctuated text, one character at a time.
+
+    Whitespace ends a token; `.?!;` ends a token and marks the token
+    before it, if any; `,` and `:` vanish; everything else is lowered
+    character by character and kept.
+    """
+    tokens, bits, buf = [], [], []
+
+    def flush():
+        if buf:
+            tokens.append("".join(buf))
+            bits.append(0)
+            buf.clear()
+
+    for ch in raw_text:
+        if ch.isspace():
+            flush()
+        elif ch in ".?!;":
+            flush()
+            if bits:
+                bits[-1] = 1
+        elif ch in ",:":
+            continue
+        else:
+            buf.append(ch.lower())
+    flush()
+    return tokens, bits

@@ -129,6 +129,22 @@ def test_score_needs_two_references(demo_corpus, tmp_path, capsys):
     assert payload["errors"][0]["kind"] == "MissingReferences"
 
 
+def test_score_rejects_duplicate_system_labels(tmp_path, capsys):
+    for folder, text in (("a", "go on. stop."), ("b", "go. on stop.")):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "sys_S1.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "ref_1.txt").write_text("go on. stop.", encoding="utf-8")
+    (tmp_path / "ref_2.txt").write_text("go on stop.", encoding="utf-8")
+    code, data = run_cli(
+        ["score", "--ref", str(tmp_path / "ref_1.txt"), "--ref", str(tmp_path / "ref_2.txt"),
+         "--sys", str(tmp_path / "a" / "sys_S1.txt"), "--sys", str(tmp_path / "b" / "sys_S1.txt")],
+        tmp_path)
+    assert (code, data) == (2, b"")
+    [error] = json.loads(capsys.readouterr().err)["errors"]
+    assert error["kind"] == "DuplicateLabel"
+    assert "'S1'" in error["message"]
+
+
 def test_bad_threshold_is_a_document_error(demo_corpus, tmp_path, capsys):
     code, _ = run_cli(["eval", str(demo_corpus), "--threshold", "9"], tmp_path)
     assert code == 1

@@ -75,6 +75,13 @@ def test_load_document_from_directory(tmp_path):
     assert doc.candidates[0][1].bits == (1, 0, 0, 1)
 
 
+def test_load_document_ignores_a_utf8_byte_order_mark(tmp_path):
+    _write_doc(tmp_path, "a", {"ref_1.txt": "\ufeffGo on. Stop.", "ref_2.txt": "go on stop."})
+    doc = load_document(load_corpus(tmp_path).documents[0])
+    assert doc.transcript.tokens == ("go", "on", "stop")
+    assert doc.references.references[0].bits == (0, 1, 1)
+
+
 def test_load_document_rejects_token_mismatch(tmp_path):
     _write_doc(tmp_path, "a", {
         "ref_1.txt": "go on.",

@@ -8,7 +8,15 @@ from wisebe import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
                     parse_segmented_text, strict_prf, to_segmented_text,
                     windowed_precision, build_general_reference,
                     build_window_reference, wisebe_score)
+from wisebe.model import _scan
+from oracles import scan_by_characters
 from strategies import bit_lists, tokens
+
+# Characters where the regex-split scanner could part ways with the
+# per-character one: delimiters and internal marks, whitespace beyond
+# ASCII, a BOM (not whitespace), and letters whose lowercase changes
+# length or depends on context.
+SCAN_ALPHABET = ".?!;,:ab \t\r\n\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\ufeffΣσİßé"
 
 
 def test_parse_basic():
@@ -64,19 +72,46 @@ def test_normalize_drops_all_segmentation_punctuation():
     assert transcript.tokens == ("one", "two", "three")
 
 
+@given(st.text())
+def test_scan_matches_character_oracle_on_any_text(raw):
+    assert _scan(raw) == scan_by_characters(raw)
+
+
+@given(st.text(alphabet=SCAN_ALPHABET, max_size=40))
+def test_scan_matches_character_oracle_on_tricky_characters(raw):
+    assert _scan(raw) == scan_by_characters(raw)
+
+
+def test_parse_lowers_capital_sigma_without_final_form():
+    transcript, vector = parse_segmented_text("ΟΔΟΣ.")
+    assert transcript.tokens == ("οδοσ",)
+    assert vector.bits == (1,)
+
+
 def test_transcript_rejects_delimiter_inside_token():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"token 'bad\.token' at position 1 "):
         Transcript("d", ("ok", "bad.token"))
+    # the first offender is reported, not the first token
+    with pytest.raises(ValueError, match=r"token 'x\?' at position 2 "):
+        Transcript("d", ("ok", "fine", "x?", "y!"))
 
 
 def test_transcript_rejects_empty_token():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty token at position 1$"):
         Transcript("d", ("ok", ""))
+    with pytest.raises(ValueError, match="empty token at position 2$"):
+        Transcript("d", ("ok", "fine", "", "y!"))
+    with pytest.raises(ValueError, match=r"token 'y!' at position 2 "):
+        Transcript("d", ("ok", "fine", "y!", ""))
 
 
 def test_boundary_vector_validates_bits():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^boundary bits must be 0 or 1$"):
         BoundaryVector("d", (0, 2, 0))
+    with pytest.raises(ValueError, match="^boundary bits must be 0 or 1$"):
+        BoundaryVector("d", (0, 1, -1))
+    assert BoundaryVector("d", (True, False, 1.0)).bits == (1, 0, 1)
+    assert type(BoundaryVector("d", (True,)).bits[0]) is int
     with pytest.raises(EmptyTranscript):
         BoundaryVector("d", ())
     with pytest.raises(ValueError):

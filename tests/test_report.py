@@ -4,8 +4,9 @@ from statistics import fmean
 
 import pytest
 
-from wisebe import (REPORT_FIELDS, EvalConfig, UnknownFormat,
-                    evaluate_agreement, evaluate_corpus, evaluate_single,
+from wisebe import (REPORT_FIELDS, Document, EvalConfig, UnknownFormat,
+                    evaluate_agreement, evaluate_corpus, evaluate_document,
+                    evaluate_single,
                     load_corpus, load_document, render_agreement,
                     render_report)
 
@@ -130,6 +131,18 @@ def test_evaluate_single_document(demo_corpus):
     assert len(report.documents) == 1
     assert report.correlation is None
     assert {a.system for a in report.aggregates} == {"S1", "S2"}
+
+
+def test_candidates_sort_by_name_only(demo_corpus):
+    # two systems may share a label when a Document is built directly;
+    # their vectors must never be compared to break the tie
+    doc = load_document(load_corpus(demo_corpus).documents[0])
+    (_, first), (_, second) = doc.candidates[:2]
+    twins = Document(doc.transcript, doc.references, (("S", second), ("S", first), ("R", first)))
+    _, rows = evaluate_document(twins)
+    assert [row.system for row in rows] == ["R", "S", "S"]
+    assert rows[1].score == evaluate_document(Document(
+        doc.transcript, doc.references, (("S", second),)))[1][0].score
 
 
 def test_agreement_report(demo_corpus):
