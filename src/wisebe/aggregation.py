@@ -1,23 +1,28 @@
-"""Fusing several reference segmentations into general and window references."""
+"""Fusing several reference segmentations into general and window references.
+
+Every segmentation is an int bitmask (bit j for position j), so the vote
+profile is m + 1 masks and each count below is a popcount: broadword
+counting as in Knuth, TAOCP 4A, section 7.1.3.
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import BadThreshold, NoBoundaries
-from .model import REFERENCE, BoundaryVector, ReferenceSet
+from .model import REFERENCE, BoundaryVector, ReferenceSet, mask_flags, mask_positions
 
 # Default number of non-boundary tokens allowed between members of one window.
 DEFAULT_WINDOW_LIMIT = 2
-
-
-def _vote_counts(refs: ReferenceSet) -> tuple[int, ...]:
-    return tuple(sum(ref.bits[j] for ref in refs.references) for j in range(refs.n))
+_RUN_RE = re.compile("1+")
 
 
 @dataclass(frozen=True)
 class GeneralReference:
-    """Per-position boundary votes plus the agreement ratio they induce.
+    """The vote profile of m references: at_least[d] masks the positions
+    marked by at least d of them, d = 0..m (at_least[0] holds all n).
 
     pb counts every vote on positions marked by at least two references;
     ha is the vote total if all m references had agreed on every position
@@ -25,29 +30,77 @@ class GeneralReference:
     """
 
     doc_id: str
-    counts: tuple[int, ...]
-    m: int
-    pb: int
-    ha: int
-    ar: float
+    n: int
+    at_least: tuple[int, ...]
 
     @property
-    def n(self) -> int:
-        return len(self.counts)
+    def m(self) -> int:
+        return len(self.at_least) - 1
+
+    @property
+    def histogram(self) -> list[int]:
+        """Number of positions with exactly d votes, d = 0..m."""
+        sizes = [mask.bit_count() for mask in (*self.at_least, 0)]
+        return [a - b for a, b in zip(sizes, sizes[1:])]
+
+    @property
+    def pb(self) -> int:
+        return sum(d * h for d, h in enumerate(self.histogram) if d >= 2)
+
+    @property
+    def ha(self) -> int:
+        return self.m * self.at_least[1].bit_count()
+
+    @property
+    def ar(self) -> float:
+        return self.pb / self.ha
+
+    @property
+    def kappa(self) -> float | None:
+        """Fleiss' kappa with every position an item that the m references
+        rate boundary / not: observed agreement is one integer over
+        m(m - 1)n, chance agreement uses the pooled boundary share.  None
+        when that share is 0 or 1, where the correction divides by zero."""
+        m, n, hist = self.m, self.n, self.histogram
+        observed = sum(h * (d * (d - 1) + (m - d) * (m - d - 1))
+                       for d, h in enumerate(hist)) / (m * (m - 1) * n)
+        share = sum(d * h for d, h in enumerate(hist)) / (n * m)
+        expected = share * share + (1.0 - share) * (1.0 - share)
+        return None if expected >= 1.0 else (observed - expected) / (1.0 - expected)
+
+    def consensus_mask(self, threshold: int) -> int:
+        """Positions with at least `threshold` votes."""
+        if not 1 <= threshold <= self.m:
+            raise BadThreshold(f"threshold {threshold} outside 1..{self.m}")
+        return self.at_least[threshold]
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        """Votes per position."""
+        levels = (mask_flags(mask, self.n) for mask in self.at_least[1:])
+        return tuple(map(sum, zip(bytes(self.n), *levels)))
 
     @property
     def nonzero_positions(self) -> tuple[int, ...]:
-        return tuple(j for j, c in enumerate(self.counts) if c)
+        return mask_positions(self.at_least[1])
+
+
+def vote_profile(refs: ReferenceSet) -> GeneralReference:
+    """The vote profile of a reference set, even one that marks nothing."""
+    at_least = [(1 << refs.n) - 1] + [0] * refs.m
+    for ref in refs.references:
+        # A position this reference marks moves up one vote; d descends so
+        # at_least[d - 1] still holds the count before this reference.
+        for d in range(refs.m, 0, -1):
+            at_least[d] |= at_least[d - 1] & ref.mask
+    return GeneralReference(refs.doc_id, refs.n, tuple(at_least))
 
 
 def build_general_reference(refs: ReferenceSet) -> GeneralReference:
-    counts = _vote_counts(refs)
-    voted = sum(1 for c in counts if c)
-    if voted == 0:
+    general = vote_profile(refs)
+    if not general.at_least[1]:
         raise NoBoundaries(f"no reference marks any boundary in {refs.doc_id!r}")
-    pb = sum(c for c in counts if c >= 2)
-    ha = refs.m * voted
-    return GeneralReference(refs.doc_id, counts, refs.m, pb, ha, pb / ha)
+    return general
 
 
 @dataclass(frozen=True)
@@ -56,43 +109,57 @@ class WindowReference:
 
     Consecutive voted positions join the same window while the number
     of unvoted tokens between them is at most separation_limit.
+    span_mask covers each window from its first to its last voted
+    position, so the windows are its runs of 1s.
     """
 
     doc_id: str
-    windows: tuple[tuple[int, ...], ...]
+    voted: int
+    span_mask: int
     separation_limit: int
     n: int
 
     @property
+    def starts(self) -> int:
+        """The first position of every window."""
+        return self.span_mask & ~(self.span_mask << 1)
+
+    @property
     def p(self) -> int:
-        return len(self.windows)
+        return self.starts.bit_count()
 
     @property
     def spans(self) -> tuple[tuple[int, int], ...]:
         """Inclusive (first, last) position of every window."""
-        return tuple((w[0], w[-1]) for w in self.windows)
+        runs = _RUN_RE.finditer(bin(self.span_mask)[:1:-1])    # bit 0 first
+        return tuple((run.start(), run.end() - 1) for run in runs)
+
+    @property
+    def windows(self) -> tuple[tuple[int, ...], ...]:
+        """The voted positions of every window."""
+        voted = mask_flags(self.voted, self.n)
+        return tuple(tuple(compress(range(lo, hi + 1), voted[lo:hi + 1]))
+                     for lo, hi in self.spans)
 
 
 def build_window_reference(general: GeneralReference,
                            separation_limit: int = DEFAULT_WINDOW_LIMIT) -> WindowReference:
     if separation_limit < 0:
         raise ValueError(f"separation limit must be >= 0, got {separation_limit}")
-    windows: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for pos in general.nonzero_positions:
-        if current and pos - current[-1] - 1 > separation_limit:
-            windows.append(tuple(current))
-            current = []
-        current.append(pos)
-    if current:
-        windows.append(tuple(current))
-    return WindowReference(general.doc_id, tuple(windows), separation_limit, general.n)
+    voted = general.at_least[1]
+    limit = min(separation_limit, general.n)
+    # An unvoted position j is inside a window when votes at j - a and
+    # j + b exist with a + b <= limit + 1; `after` marks the positions
+    # with a vote at most b positions later.
+    span, after = voted, 0
+    for b in range(1, limit + 1):
+        after |= voted >> b
+        span |= (voted << (limit + 1 - b)) & after
+    return WindowReference(general.doc_id, voted, span, separation_limit, general.n)
 
 
 def consensus_reference(refs: ReferenceSet, threshold: int) -> BoundaryVector:
     """Majority-style fused reference: keep positions with >= threshold votes."""
-    if not 1 <= threshold <= refs.m:
-        raise BadThreshold(f"threshold {threshold} outside 1..{refs.m}")
-    counts = _vote_counts(refs)
-    bits = tuple(1 if c >= threshold else 0 for c in counts)
-    return BoundaryVector(refs.doc_id, bits, REFERENCE, f"consensus>={threshold}")
+    mask = vote_profile(refs).consensus_mask(threshold)
+    return BoundaryVector(refs.doc_id, mask_flags(mask, refs.n), REFERENCE,
+                          f"consensus>={threshold}")

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
 from statistics import correlation
 from typing import Sequence
 
-from .aggregation import build_general_reference
+from .aggregation import build_general_reference, vote_profile
 from .errors import ConstantSequence, DegenerateAgreement
 from .model import ReferenceSet
 
@@ -26,25 +25,15 @@ class CorrelationResult:
 
 
 def fleiss_kappa(refs: ReferenceSet) -> float:
-    """Fleiss' kappa treating every token as an item rated boundary / not.
-
-    Chance agreement uses the pooled boundary share over all raters and
-    tokens.  When that share is 0 or 1 the correction divides by zero,
-    which surfaces as DegenerateAgreement rather than a NaN.
-    """
-    m, n = refs.m, refs.n
-    votes = [sum(ref.bits[j] for ref in refs.references) for j in range(n)]
-    per_item = [
-        (d * (d - 1) + (m - d) * (m - d - 1)) / (m * (m - 1)) for d in votes
-    ]
-    observed = fsum(per_item) / n
-    share = sum(votes) / (n * m)
-    expected = share * share + (1.0 - share) * (1.0 - share)
-    if expected >= 1.0:
+    """Fleiss' kappa treating every token as an item rated boundary / not
+    (GeneralReference.kappa); DegenerateAgreement rather than a NaN where
+    the pooled boundary share is 0 or 1."""
+    kappa = vote_profile(refs).kappa
+    if kappa is None:
         raise DegenerateAgreement(
             f"references for {refs.doc_id!r} use a single category everywhere"
         )
-    return (observed - expected) / (1.0 - expected)
+    return kappa
 
 
 def agreement_stats(refs: ReferenceSet) -> AgreementStats:
@@ -52,11 +41,7 @@ def agreement_stats(refs: ReferenceSet) -> AgreementStats:
     undefined (every reference marks every token); the ratio and the
     window-based score are still defined there."""
     general = build_general_reference(refs)
-    try:
-        kappa = fleiss_kappa(refs)
-    except DegenerateAgreement:
-        kappa = None
-    return AgreementStats(refs.doc_id, general.ar, kappa)
+    return AgreementStats(refs.doc_id, general.ar, general.kappa)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Iterable
 
+from .aggregation import GeneralReference, vote_profile
 from .errors import NoBoundaries
 from .model import BoundaryVector, ReferenceSet, check_aligned
 from .scoring import harmonic_f1
@@ -40,15 +41,13 @@ class SerScore:
 def strict_prf(cand: BoundaryVector, ref: BoundaryVector) -> PRF:
     """Position-exact precision/recall/F1 against a single reference."""
     check_aligned(cand, ref, f"candidate vs reference {ref.label!r}")
-    tp = fp = fn = 0
-    for c, r in zip(cand.bits, ref.bits):
-        if c and r:
-            tp += 1
-        elif c:
-            fp += 1
-        elif r:
-            fn += 1
-    return PRF.from_counts(tp, fp, fn)
+    return mask_prf(cand.mask, ref.mask)
+
+
+def mask_prf(cand: int, ref: int) -> PRF:
+    """Strict PRF of a candidate mask against a reference mask."""
+    tp = (cand & ref).bit_count()
+    return PRF.from_counts(tp, cand.bit_count() - tp, ref.bit_count() - tp)
 
 
 def mean_prf(cand: BoundaryVector, refs: ReferenceSet) -> PRF:
@@ -103,14 +102,10 @@ def lenient_prf(cand: BoundaryVector, refs: ReferenceSet) -> PRF:
     missed."""
     for ref in refs.references:
         check_aligned(cand, ref, f"candidate vs reference {ref.label!r}")
-    tp = fp = fn = 0
-    for j, c in enumerate(cand.bits):
-        votes = sum(ref.bits[j] for ref in refs.references)
-        if c:
-            if votes:
-                tp += 1
-            else:
-                fp += 1
-        elif votes == refs.m:
-            fn += 1
-    return PRF.from_counts(tp, fp, fn)
+    return profile_lenient_prf(cand, vote_profile(refs))
+
+
+def profile_lenient_prf(cand: BoundaryVector, general: GeneralReference) -> PRF:
+    """lenient_prf as strict PRF against a built vote profile: against the
+    boundaries every reference has plus the candidate's that any has."""
+    return mask_prf(cand.mask, general.at_least[-1] | cand.mask & general.at_least[1])

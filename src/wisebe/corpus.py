@@ -152,14 +152,16 @@ def _load_structured(path: Path, doc_id: str) -> Document:
 
 
 def load_document(files: DocumentFiles) -> Document:
-    """Read and align one document; any token disagreement is fatal."""
+    """Read and align one document; any token disagreement is fatal, and
+    so are two references or two systems with the same label."""
     if files.structured_path is not None:
         return _load_structured(files.structured_path, files.doc_id)
-    labels = [label for label, _ in files.sys_paths]
-    for label in labels:
-        if labels.count(label) > 1:
-            raise DuplicateLabel(f"document {files.doc_id!r}: system label {label!r} "
-                                 f"is given {labels.count(label)} times")
+    for kind, entries in (("reference", files.ref_paths), ("system", files.sys_paths)):
+        labels = [label for label, _ in entries]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise DuplicateLabel(f"document {files.doc_id!r}: {kind} label {label!r} "
+                                     f"is given {labels.count(label)} times")
     base: Transcript | None = None
     base_label = ""
     refs: list[BoundaryVector] = []

@@ -44,7 +44,7 @@ class MissingReferences(WisebeError):
 
 
 class DuplicateLabel(WisebeError):
-    """Two system outputs of one document carry the same label."""
+    """Two references or two system outputs of one document carry the same label."""
 
 
 class UnknownFormat(WisebeError):

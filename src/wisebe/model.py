@@ -4,12 +4,14 @@ A segmentation of an n-token transcript is a binary vector of length n:
 bit j is 1 when a sentence-like unit ends immediately after token j.
 The final token of a transcript always closes a unit, but that last
 bit is kept explicit rather than implied so vectors stay comparable.
+Every metric reads a vector as an int bitmask with bit j for position j.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .errors import AlignmentError, EmptyTranscript, MissingReferences
@@ -21,7 +23,8 @@ INTERNAL_MARKS = frozenset(":,")
 _DELIM_CLASS = re.escape("".join(sorted(SU_DELIMITERS)))
 _DELIM_RE = re.compile(f"[{_DELIM_CLASS}]")
 _SPLIT_RE = re.compile(rf"([\s{_DELIM_CLASS}]+)")
-_BITS = frozenset((0, 1))
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 REFERENCE = "reference"
 CANDIDATE = "candidate"
@@ -57,24 +60,43 @@ class Transcript:
         return len(self.tokens)
 
 
+def mask_flags(mask: int, n: int) -> bytes:
+    """Byte j is bit j of `mask`, for j < n (n at least the bit length)."""
+    return format(mask, f"0{n}b").encode()[::-1].translate(_TO_FLAGS)
+
+
+def mask_positions(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of `mask`, in increasing order."""
+    return tuple(compress(count(), mask_flags(mask, 1)))
+
+
 @dataclass(frozen=True)
 class BoundaryVector:
-    """Binary boundary marks over the token positions of one transcript."""
+    """Binary boundary marks over the token positions of one transcript.
+
+    `bits` is given as bytes or as values that int() maps to 0 or 1, and
+    kept as a tuple of ints for callers and tests; `mask` holds the same
+    marks as an int, bit j for position j, and is what metrics read.
+    """
 
     doc_id: str
     bits: tuple[int, ...]
     origin: str = REFERENCE
     label: str = ""
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bits = tuple(map(int, self.bits))
-        object.__setattr__(self, "bits", bits)
-        if not bits:
-            raise EmptyTranscript(f"boundary vector {self.label or self.doc_id!r} has no positions")
-        if not _BITS.issuperset(bits):
+        flags = self.bits           # bytes skip int() coercion: parser and from_positions
+        if not isinstance(flags, (bytes, bytearray)):
+            flags = bytes(b if b in (0, 1) else 2 for b in map(int, flags))
+        if flags.translate(None, b"\x00\x01"):
             raise ValueError("boundary bits must be 0 or 1")
+        if not flags:
+            raise EmptyTranscript(f"boundary vector {self.label or self.doc_id!r} has no positions")
         if self.origin not in _ORIGINS:
             raise ValueError(f"origin must be one of {_ORIGINS}, got {self.origin!r}")
+        object.__setattr__(self, "bits", tuple(flags))
+        object.__setattr__(self, "mask", int(flags[::-1].translate(_TO_DIGITS), 2))
 
     @property
     def n(self) -> int:
@@ -82,22 +104,22 @@ class BoundaryVector:
 
     @property
     def boundary_count(self) -> int:
-        return sum(self.bits)
+        return self.mask.bit_count()
 
     @property
     def positions(self) -> tuple[int, ...]:
         """0-based positions of the marked boundaries, in increasing order."""
-        return tuple(j for j, b in enumerate(self.bits) if b)
+        return mask_positions(self.mask)
 
     @classmethod
     def from_positions(cls, n: int, positions: Iterable[int], doc_id: str = "",
                        origin: str = REFERENCE, label: str = "") -> "BoundaryVector":
-        bits = [0] * n
+        flags = bytearray(n)
         for p in positions:
             if not 0 <= p < n:
                 raise ValueError(f"boundary position {p} outside 0..{n - 1}")
-            bits[p] = 1
-        return cls(doc_id, tuple(bits), origin, label)
+            flags[p] = 1
+        return cls(doc_id, flags, origin, label)
 
 
 def check_aligned(left, right, what: str, strict_doc_id: bool = False) -> None:
@@ -192,7 +214,7 @@ def parse_segmented_text(raw_text: str, doc_id: str = "", label: str = "",
     if not tokens:
         raise EmptyTranscript(f"document {doc_id!r} normalized to zero tokens")
     transcript = Transcript(doc_id, tuple(tokens))
-    vector = BoundaryVector(doc_id, tuple(bits), origin, label)
+    vector = BoundaryVector(doc_id, bytes(bits), origin, label)
     return transcript, vector
 
 

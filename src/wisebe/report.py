@@ -9,14 +9,15 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Callable
 
-from .aggregation import DEFAULT_WINDOW_LIMIT, consensus_reference
+from .aggregation import (DEFAULT_WINDOW_LIMIT, build_general_reference,
+                          build_window_reference)
 from .agreement import (AgreementStats, CorrelationResult, agreement_stats,
                         pearson)
-from .baselines import (PRF, average_prf, lenient_prf, mean_ser_from_counts,
-                        strict_prf)
+from .baselines import (PRF, average_prf, mask_prf, mean_ser_from_counts,
+                        profile_lenient_prf, strict_prf)
 from .corpus import CorpusLayout, Document, load_document
 from .errors import ConstantSequence, UnknownFormat, WisebeError
-from .scoring import WisebeScore, wisebe_score
+from .scoring import WisebeScore, window_score
 
 MEAN_ROW_ID = "mean"
 
@@ -96,17 +97,20 @@ def _mean_defined(average: Callable, values: list):
 
 def evaluate_document(doc: Document,
                       config: EvalConfig = EvalConfig()) -> tuple[DocumentSummary, list[SystemRow]]:
-    """Score every candidate of one loaded document."""
+    """Score every candidate of one loaded document against one vote
+    profile and one window reference."""
     refs = doc.references
-    stats = agreement_stats(refs)
+    general = build_general_reference(refs)
+    kappa = general.kappa
     candidates = sorted(doc.candidates, key=lambda item: item[0])
     summary = DocumentSummary(
-        doc.doc_id, doc.transcript.n, stats.agreement_ratio, stats.kappa,
+        doc.doc_id, doc.transcript.n, general.ar, kappa,
         tuple((ref.label, ref.boundary_count) for ref in refs.references),
         tuple((name, cand.boundary_count) for name, cand in candidates),
     )
-    consensus = (consensus_reference(refs, config.consensus_threshold)
+    consensus = (general.consensus_mask(config.consensus_threshold)
                  if config.consensus_threshold is not None else None)
+    windows = build_window_reference(general, config.window_limit)
     rows = []
     for name, cand in candidates:
         scores = [strict_prf(cand, ref) for ref in refs.references]
@@ -115,11 +119,11 @@ def evaluate_document(doc: Document,
             system=name,
             per_reference=tuple(zip((ref.label for ref in refs.references), scores)),
             mean=average_prf(scores),
-            score=wisebe_score(cand, refs, config.window_limit),
-            kappa=stats.kappa,
+            score=window_score(cand, windows, general.ar),
+            kappa=kappa,
             mean_ser=mean_ser_from_counts(scores) if config.baselines else None,
-            lenient=lenient_prf(cand, refs) if config.baselines else None,
-            consensus=strict_prf(cand, consensus) if consensus is not None else None,
+            lenient=profile_lenient_prf(cand, general) if config.baselines else None,
+            consensus=mask_prf(cand.mask, consensus) if consensus is not None else None,
         ))
     return summary, rows
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .aggregation import (DEFAULT_WINDOW_LIMIT, WindowReference,
                           build_general_reference, build_window_reference)
@@ -40,23 +39,20 @@ def windowed_precision(cand: BoundaryVector, windows: WindowReference) -> float:
     total = cand.boundary_count
     if total == 0:
         return 0.0
-    inside = [False] * cand.n
-    for lo, hi in windows.spans:
-        for j in range(lo, hi + 1):
-            inside[j] = True
-    hits = sum(1 for p in cand.positions if inside[p])
-    return hits / total
+    return (cand.mask & windows.span_mask).bit_count() / total
 
 
 def windowed_recall(cand: BoundaryVector, windows: WindowReference) -> float:
     """Fraction of windows containing at least one candidate boundary."""
     check_aligned(cand, windows, "candidate vs window reference")
-    if windows.p == 0:
+    p = windows.p
+    if p == 0:
         raise NoBoundaries(f"window reference for {windows.doc_id!r} is empty")
-    # prefix[j] = number of candidate boundaries strictly before position j
-    prefix = [0, *accumulate(cand.bits)]
-    hit = sum(1 for lo, hi in windows.spans if prefix[hi + 1] > prefix[lo])
-    return hit / windows.p
+    # Adding its first bit to a window minus the candidate's marks
+    # carries out past the window's end exactly when it holds no mark.
+    span = windows.span_mask
+    missed = ((span & ~cand.mask) + windows.starts) & ~span
+    return (p - missed.bit_count()) / p
 
 
 def combine_score(f1_rw: float, agreement_ratio: float) -> float:
@@ -64,13 +60,19 @@ def combine_score(f1_rw: float, agreement_ratio: float) -> float:
     return f1_rw * agreement_ratio
 
 
+def window_score(cand: BoundaryVector, windows: WindowReference,
+                 agreement_ratio: float) -> WisebeScore:
+    """Score a candidate against an already built window reference."""
+    precision = windowed_precision(cand, windows)
+    recall = windowed_recall(cand, windows)
+    f1 = harmonic_f1(precision, recall)
+    return WisebeScore(precision, recall, f1, agreement_ratio,
+                       combine_score(f1, agreement_ratio))
+
+
 def wisebe_score(cand: BoundaryVector, refs: ReferenceSet,
                  separation_limit: int = DEFAULT_WINDOW_LIMIT) -> WisebeScore:
     """Score a candidate against several references at once."""
     check_aligned(cand, refs, "candidate vs references")
     general = build_general_reference(refs)
-    windows = build_window_reference(general, separation_limit)
-    precision = windowed_precision(cand, windows)
-    recall = windowed_recall(cand, windows)
-    f1 = harmonic_f1(precision, recall)
-    return WisebeScore(precision, recall, f1, general.ar, combine_score(f1, general.ar))
+    return window_score(cand, build_window_reference(general, separation_limit), general.ar)

@@ -42,11 +42,7 @@ def windowed_prf_by_membership(cand_positions, windows):
     return precision, Fraction(hit, len(spans))
 
 
-def strict_prf_by_sets(cand_positions, ref_positions):
-    cand, ref = set(cand_positions), set(ref_positions)
-    tp = len(cand & ref)
-    fp = len(cand - ref)
-    fn = len(ref - cand)
+def _prf_by_counts(tp, fp, fn):
     precision = Fraction(tp, tp + fp) if tp + fp else Fraction(0)
     recall = Fraction(tp, tp + fn) if tp + fn else Fraction(0)
     if precision + recall:
@@ -54,6 +50,26 @@ def strict_prf_by_sets(cand_positions, ref_positions):
     else:
         f1 = Fraction(0)
     return tp, fp, fn, precision, recall, f1
+
+
+def strict_prf_by_sets(cand_positions, ref_positions):
+    cand, ref = set(cand_positions), set(ref_positions)
+    return _prf_by_counts(len(cand & ref), len(cand - ref), len(ref - cand))
+
+
+def lenient_prf_by_sets(cand_positions, ref_position_lists):
+    """A candidate boundary is right when it is in the union of the
+    references; only boundaries in their intersection can be missed."""
+    cand = set(cand_positions)
+    union = set().union(*ref_position_lists)
+    shared = set(ref_position_lists[0]).intersection(*ref_position_lists[1:])
+    return _prf_by_counts(len(cand & union), len(cand - union), len(shared - cand))
+
+
+def consensus_by_counting(bit_rows, threshold):
+    """Positions that at least `threshold` rows mark."""
+    return tuple(j for j in range(len(bit_rows[0]))
+                 if sum(row[j] for row in bit_rows) >= threshold)
 
 
 def fleiss_kappa_by_table(bit_rows):

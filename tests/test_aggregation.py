@@ -17,6 +17,12 @@ def _refs(*rows):
     ))
 
 
+def _profile(counts, m):
+    """The vote profile whose per-position vote counts are `counts`."""
+    return GeneralReference("d", len(counts), tuple(
+        sum(1 << j for j, c in enumerate(counts) if c >= d) for d in range(m + 1)))
+
+
 def test_general_reference_counts_votes():
     general = build_general_reference(_refs((1, 0, 1, 1), (1, 0, 1, 0), (1, 0, 0, 0)))
     assert general.counts == (3, 0, 2, 1)
@@ -38,13 +44,13 @@ def test_general_reference_requires_some_boundary():
 
 
 def test_window_grouping_respects_gap_limit():
-    general = GeneralReference("d", (0, 0, 0, 0, 1, 0, 0, 0, 2), 2, 2, 4, 0.5)
+    general = _profile((0, 0, 0, 0, 1, 0, 0, 0, 2), 2)
     assert build_window_reference(general, 2).windows == ((4,), (8,))
     assert build_window_reference(general, 3).windows == ((4, 8),)
 
 
 def test_window_limit_zero_still_joins_adjacent_positions():
-    general = GeneralReference("d", (0, 0, 0, 1, 2, 1), 2, 4, 6, 4 / 6)
+    general = _profile((0, 0, 0, 1, 2, 1), 2)
     windows = build_window_reference(general, 0)
     assert windows.windows == ((3, 4, 5),)
     assert windows.spans == ((3, 5),)
@@ -52,7 +58,7 @@ def test_window_limit_zero_still_joins_adjacent_positions():
 
 
 def test_window_reference_rejects_negative_limit():
-    general = GeneralReference("d", (1,), 2, 0, 2, 0.0)
+    general = _profile((1,), 2)
     with pytest.raises(ValueError):
         build_window_reference(general, -1)
 

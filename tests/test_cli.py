@@ -145,6 +145,19 @@ def test_score_rejects_duplicate_system_labels(tmp_path, capsys):
     assert "'S1'" in error["message"]
 
 
+def test_score_rejects_duplicate_reference_labels(tmp_path, capsys):
+    # The files do not exist: the labels are checked before anything is read.
+    code, data = run_cli(
+        ["score", "--ref", str(tmp_path / "a" / "ref_1.txt"),
+         "--ref", str(tmp_path / "b" / "ref_1.txt"), "--sys", str(tmp_path / "sys_S.txt"),
+         "--baselines"],
+        tmp_path)
+    assert (code, data) == (2, b"")
+    [error] = json.loads(capsys.readouterr().err)["errors"]
+    assert error["kind"] == "DuplicateLabel"
+    assert "reference label 'ref_1'" in error["message"]
+
+
 def test_bad_threshold_is_a_document_error(demo_corpus, tmp_path, capsys):
     code, _ = run_cli(["eval", str(demo_corpus), "--threshold", "9"], tmp_path)
     assert code == 1
