@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import BadThreshold, NoBoundaries
-from .model import REFERENCE, BoundaryVector, ReferenceSet, mask_flags, mask_positions
+from .model import REFERENCE, BoundaryVector, ReferenceSet, mask_flags
 
 # Default number of non-boundary tokens allowed between members of one window.
 DEFAULT_WINDOW_LIMIT = 2
@@ -80,10 +80,6 @@ class GeneralReference:
         levels = (mask_flags(mask, self.n) for mask in self.at_least[1:])
         return tuple(map(sum, zip(bytes(self.n), *levels)))
 
-    @property
-    def nonzero_positions(self) -> tuple[int, ...]:
-        return mask_positions(self.at_least[1])
-
 
 def vote_profile(refs: ReferenceSet) -> GeneralReference:
     """The vote profile of a reference set, even one that marks nothing."""
@@ -108,15 +104,14 @@ class WindowReference:
     """Voted positions grouped into windows under a token-gap limit.
 
     Consecutive voted positions join the same window while the number
-    of unvoted tokens between them is at most separation_limit.
-    span_mask covers each window from its first to its last voted
-    position, so the windows are its runs of 1s.
+    of unvoted tokens between them is at most the separation limit it
+    was built with.  span_mask covers each window from its first to its
+    last voted position, so the windows are its runs of 1s.
     """
 
     doc_id: str
     voted: int
     span_mask: int
-    separation_limit: int
     n: int
 
     @property
@@ -155,7 +150,7 @@ def build_window_reference(general: GeneralReference,
     for b in range(1, limit + 1):
         after |= voted >> b
         span |= (voted << (limit + 1 - b)) & after
-    return WindowReference(general.doc_id, voted, span, separation_limit, general.n)
+    return WindowReference(general.doc_id, voted, span, general.n)
 
 
 def consensus_reference(refs: ReferenceSet, threshold: int) -> BoundaryVector:

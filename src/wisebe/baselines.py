@@ -100,8 +100,7 @@ def lenient_prf(cand: BoundaryVector, refs: ReferenceSet) -> PRF:
     """Generous multi-reference PRF: a candidate boundary is correct if
     any reference has it; only boundaries all references share can be
     missed."""
-    for ref in refs.references:
-        check_aligned(cand, ref, f"candidate vs reference {ref.label!r}")
+    check_aligned(cand, refs, "candidate vs references")
     return profile_lenient_prf(cand, vote_profile(refs))
 
 

@@ -15,8 +15,8 @@ from functools import partial
 from pathlib import Path
 
 from .aggregation import DEFAULT_WINDOW_LIMIT
-from .corpus import SYS_PREFIX, DocumentFiles, load_corpus, load_document
-from .errors import WisebeError
+from .corpus import DocumentFiles, load_corpus, load_document, system_label
+from .errors import USER_ERRORS
 from .report import (REPORT_FORMATS, EvalConfig, evaluate_agreement,
                      evaluate_corpus, evaluate_single, render_agreement,
                      render_report)
@@ -79,19 +79,12 @@ def _cmd_corpus(args, evaluate, render) -> int:
     return 0
 
 
-def _system_label(path: Path) -> str:
-    stem = path.stem
-    if stem.startswith(SYS_PREFIX) and len(stem) > len(SYS_PREFIX):
-        return stem[len(SYS_PREFIX):]
-    return stem
-
-
 def _cmd_score(args) -> int:
     config = _config(args)
     files = DocumentFiles(
         args.doc_id,
         tuple((path.stem, path) for path in args.ref_files),
-        tuple((_system_label(path), path) for path in args.system_files or ()),
+        tuple((system_label(path.stem) or path.stem, path) for path in args.system_files or ()),
     )
     doc = load_document(files)
     report = evaluate_single(doc, config)
@@ -153,7 +146,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (WisebeError, ValueError, OSError) as exc:
+    except USER_ERRORS as exc:
         _emit_errors([{"doc_id": None, "kind": type(exc).__name__, "message": str(exc)}])
         return 2
 

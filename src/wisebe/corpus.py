@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import lt
 from pathlib import Path
 
 from .errors import DuplicateLabel, MissingReferences
@@ -58,17 +59,21 @@ class Document:
         return self.transcript.doc_id
 
 
+def system_label(stem: str) -> str:
+    """The label of a system file named `sys_<label>`; "" for any other stem."""
+    return stem[len(SYS_PREFIX):] if stem.startswith(SYS_PREFIX) else ""
+
+
 def _scan_directory(entry: Path, warnings: list[str]) -> DocumentFiles:
     refs: list[tuple[str, Path]] = []
     systems: list[tuple[str, Path]] = []
     for child in sorted(entry.iterdir(), key=lambda p: p.name):
-        stem, suffix = child.stem, child.suffix
-        if child.is_file() and suffix == TEXT_SUFFIX and stem.startswith(REF_PREFIX) \
-                and len(stem) > len(REF_PREFIX):
+        stem = child.stem
+        is_text = child.is_file() and child.suffix == TEXT_SUFFIX
+        if is_text and stem.startswith(REF_PREFIX) and len(stem) > len(REF_PREFIX):
             refs.append((stem, child))
-        elif child.is_file() and suffix == TEXT_SUFFIX and stem.startswith(SYS_PREFIX) \
-                and len(stem) > len(SYS_PREFIX):
-            systems.append((stem[len(SYS_PREFIX):], child))
+        elif is_text and (label := system_label(stem)):
+            systems.append((label, child))
         else:
             warnings.append(f"{child}: not a reference or system file, ignored")
     return DocumentFiles(entry.name, tuple(refs), tuple(systems))
@@ -111,10 +116,10 @@ def load_corpus(root: str | Path) -> CorpusLayout:
 
 
 def _positions_vector(raw, n: int, doc_id: str, name: str, origin: str) -> BoundaryVector:
-    if not isinstance(raw, list) or not all(isinstance(p, int) and not isinstance(p, bool)
-                                            for p in raw):
+    # type() is exact, so True and False (bools) are not integers here.
+    if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
         raise ValueError(f"{doc_id}/{name}: boundary positions must be a list of integers")
-    if any(b <= a for a, b in zip(raw, raw[1:])):
+    if not all(map(lt, raw, raw[1:])):
         raise ValueError(f"{doc_id}/{name}: boundary positions must be strictly increasing")
     try:
         return BoundaryVector.from_positions(n, raw, doc_id, origin, name)
@@ -122,12 +127,27 @@ def _positions_vector(raw, n: int, doc_id: str, name: str, origin: str) -> Bound
         raise ValueError(f"{doc_id}/{name}: {exc}") from None
 
 
+def _unique(pairs, what: str) -> dict:
+    """`pairs` as a dict, where a repeated key is a DuplicateLabel rather
+    than a silent overwrite; `what` names the kind of key in the message."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for key in keys if keys.count(key) > 1)
+        raise DuplicateLabel(f"{what} {key!r} is given {keys.count(key)} times")
+    return data
+
+
 def _load_structured(path: Path, doc_id: str) -> Document:
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"),
+                          object_pairs_hook=lambda pairs: _unique(pairs, f"{path}: key"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     tokens = data.get("tokens")
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
         raise ValueError(f"{path}: 'tokens' must be a list of strings")
     references = data.get("references")
     if not isinstance(references, dict):
@@ -136,10 +156,6 @@ def _load_structured(path: Path, doc_id: str) -> Document:
     if not isinstance(systems, dict):
         raise ValueError(f"{path}: 'systems' must be an object")
     transcript = Transcript(doc_id, tuple(tokens))
-    if len(references) < 2:
-        raise MissingReferences(
-            f"document {doc_id!r} has {len(references)} reference(s), need at least 2"
-        )
     refs = tuple(
         _positions_vector(references[name], transcript.n, doc_id, name, REFERENCE)
         for name in sorted(references)
@@ -157,11 +173,7 @@ def load_document(files: DocumentFiles) -> Document:
     if files.structured_path is not None:
         return _load_structured(files.structured_path, files.doc_id)
     for kind, entries in (("reference", files.ref_paths), ("system", files.sys_paths)):
-        labels = [label for label, _ in entries]
-        for label in labels:
-            if labels.count(label) > 1:
-                raise DuplicateLabel(f"document {files.doc_id!r}: {kind} label {label!r} "
-                                     f"is given {labels.count(label)} times")
+        _unique(entries, f"document {files.doc_id!r}: {kind} label")
     base: Transcript | None = None
     base_label = ""
     refs: list[BoundaryVector] = []

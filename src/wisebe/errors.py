@@ -44,8 +44,13 @@ class MissingReferences(WisebeError):
 
 
 class DuplicateLabel(WisebeError):
-    """Two references or two system outputs of one document carry the same label."""
+    """Two references or two system outputs of one document carry the same
+    label, or a structured document repeats a key in one of its objects."""
 
 
 class UnknownFormat(WisebeError):
     """Unsupported report format name."""
+
+
+# Failures of the input or the environment: JSON on stderr, never a traceback.
+USER_ERRORS = (WisebeError, ValueError, OSError)

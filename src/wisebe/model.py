@@ -70,37 +70,40 @@ def mask_positions(mask: int) -> tuple[int, ...]:
     return tuple(compress(count(), mask_flags(mask, 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundaryVector:
     """Binary boundary marks over the token positions of one transcript.
 
-    `bits` is given as bytes or as values that int() maps to 0 or 1, and
-    kept as a tuple of ints for callers and tests; `mask` holds the same
-    marks as an int, bit j for position j, and is what metrics read.
+    `bits` is given as bytes or as values that int() maps to 0 or 1; the
+    vector keeps only their count `n` and `mask`, an int with bit j for
+    position j, which is what metrics read.  `bits` reads them back.
     """
 
     doc_id: str
-    bits: tuple[int, ...]
-    origin: str = REFERENCE
-    label: str = ""
-    mask: int = field(init=False, repr=False, compare=False)
+    origin: str
+    label: str
+    n: int
+    mask: int = field(repr=False)
 
-    def __post_init__(self):
-        flags = self.bits           # bytes skip int() coercion: parser and from_positions
+    def __init__(self, doc_id: str, bits: bytes | Iterable[int],
+                 origin: str = REFERENCE, label: str = ""):
+        flags = bits                # bytes skip int() coercion: parser and from_positions
         if not isinstance(flags, (bytes, bytearray)):
             flags = bytes(b if b in (0, 1) else 2 for b in map(int, flags))
         if flags.translate(None, b"\x00\x01"):
             raise ValueError("boundary bits must be 0 or 1")
         if not flags:
-            raise EmptyTranscript(f"boundary vector {self.label or self.doc_id!r} has no positions")
-        if self.origin not in _ORIGINS:
-            raise ValueError(f"origin must be one of {_ORIGINS}, got {self.origin!r}")
-        object.__setattr__(self, "bits", tuple(flags))
-        object.__setattr__(self, "mask", int(flags[::-1].translate(_TO_DIGITS), 2))
+            raise EmptyTranscript(f"boundary vector {label or doc_id!r} has no positions")
+        if origin not in _ORIGINS:
+            raise ValueError(f"origin must be one of {_ORIGINS}, got {origin!r}")
+        # Frozen: fields are set through the instance dict, once.
+        vars(self).update(doc_id=doc_id, origin=origin, label=label, n=len(flags),
+                          mask=int(flags[::-1].translate(_TO_DIGITS), 2))
 
     @property
-    def n(self) -> int:
-        return len(self.bits)
+    def bits(self) -> tuple[int, ...]:
+        """The marks as a tuple of n ints, 0 or 1."""
+        return tuple(mask_flags(self.mask, self.n))
 
     @property
     def boundary_count(self) -> int:
@@ -196,10 +199,7 @@ def _scan(raw_text: str) -> tuple[list[str], list[int]]:
 
 def normalize_and_tokenize(raw_text: str, doc_id: str = "") -> Transcript:
     """Lowercase, split on whitespace, and drop all segmentation punctuation."""
-    tokens, _ = _scan(raw_text)
-    if not tokens:
-        raise EmptyTranscript(f"document {doc_id!r} normalized to zero tokens")
-    return Transcript(doc_id, tuple(tokens))
+    return parse_segmented_text(raw_text, doc_id)[0]
 
 
 def parse_segmented_text(raw_text: str, doc_id: str = "", label: str = "",
@@ -211,11 +211,8 @@ def parse_segmented_text(raw_text: str, doc_id: str = "", label: str = "",
     and colons are removed without effect.
     """
     tokens, bits = _scan(raw_text)
-    if not tokens:
-        raise EmptyTranscript(f"document {doc_id!r} normalized to zero tokens")
     transcript = Transcript(doc_id, tuple(tokens))
-    vector = BoundaryVector(doc_id, bytes(bits), origin, label)
-    return transcript, vector
+    return transcript, BoundaryVector(doc_id, bytes(bits), origin, label)
 
 
 def to_segmented_text(transcript: Transcript, vector: BoundaryVector,
@@ -223,11 +220,7 @@ def to_segmented_text(transcript: Transcript, vector: BoundaryVector,
     """Inverse of parse_segmented_text up to whitespace and case."""
     if delimiter not in SU_DELIMITERS:
         raise ValueError(f"{delimiter!r} does not close a unit")
-    if vector.n != transcript.n:
-        raise AlignmentError(
-            f"vector has {vector.n} positions, transcript {transcript.n}",
-            position=min(vector.n, transcript.n),
-        )
+    check_aligned(vector, transcript, "vector vs transcript")
     parts = [tok + delimiter if b else tok for tok, b in zip(transcript.tokens, vector.bits)]
     return " ".join(parts)
 

@@ -16,7 +16,7 @@ from .agreement import (AgreementStats, CorrelationResult, agreement_stats,
 from .baselines import (PRF, average_prf, mask_prf, mean_ser_from_counts,
                         profile_lenient_prf, strict_prf)
 from .corpus import CorpusLayout, Document, load_document
-from .errors import ConstantSequence, UnknownFormat, WisebeError
+from .errors import USER_ERRORS, ConstantSequence, UnknownFormat
 from .scoring import WisebeScore, window_score
 
 MEAN_ROW_ID = "mean"
@@ -164,7 +164,7 @@ def _each_document(layout: CorpusLayout, evaluate: Callable[[Document], object])
     for files in layout.documents:
         try:
             results.append(evaluate(load_document(files)))
-        except (WisebeError, ValueError, OSError) as exc:
+        except USER_ERRORS as exc:
             errors.append(DocumentError(files.doc_id, type(exc).__name__, str(exc)))
     return results, tuple(errors)
 

@@ -26,7 +26,7 @@ def _profile(counts, m):
 def test_general_reference_counts_votes():
     general = build_general_reference(_refs((1, 0, 1, 1), (1, 0, 1, 0), (1, 0, 0, 0)))
     assert general.counts == (3, 0, 2, 1)
-    assert general.nonzero_positions == (0, 2, 3)
+    assert general.at_least[1] == 0b1101        # voted positions 0, 2 and 3
     # position 3 has a single vote: it widens ha but adds nothing to pb
     assert general.pb == 5
     assert general.ha == 9
@@ -75,7 +75,7 @@ def test_windows_partition_voted_positions(refs, limit):
     general = build_general_reference(refs)
     windows = build_window_reference(general, limit)
     flat = [p for w in windows.windows for p in w]
-    assert tuple(flat) == general.nonzero_positions
+    assert flat == [j for j, votes in enumerate(general.counts) if votes]
     for window in windows.windows:
         assert all(b - a - 1 <= limit for a, b in zip(window, window[1:]))
     for prev, nxt in zip(windows.windows, windows.windows[1:]):

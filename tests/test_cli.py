@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wisebe
 from wisebe.cli import main
 
 
@@ -208,3 +211,30 @@ def test_reference_without_boundaries_blanks_mean_ser(tmp_path, capsys):
     assert cells["lenient_f1"] == "1.000"
     assert mean.startswith("mean,S,")
     assert capsys.readouterr().err == ""
+
+
+def test_deeply_nested_json_is_a_document_error(tmp_path):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "deep.json").write_text("[" * 100_000, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(wisebe.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "wisebe", "eval", str(root)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [error] = json.loads(proc.stderr.splitlines()[-1])["errors"]
+    assert (error["doc_id"], error["kind"]) == ("deep", "ValueError")
+    assert "deep.json" in error["message"]
+
+
+def test_repeated_json_key_is_a_document_error(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "a.json").write_text(
+        '{"tokens": ["go", "on"], "references": {"r": [0], "r": [1], "q": [1]}}',
+        encoding="utf-8")
+    code, _ = run_cli(["eval", str(root)], tmp_path, fmt="json")
+    assert code == 1
+    [error] = json.loads(capsys.readouterr().err)["errors"]
+    assert (error["doc_id"], error["kind"]) == ("a", "DuplicateLabel")
+    assert "a.json" in error["message"] and "key 'r'" in error["message"]

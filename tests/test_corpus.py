@@ -114,6 +114,8 @@ def test_load_structured_document(tmp_path):
     ({"tokens": ["a", "b."], "references": {"r1": [0], "r2": [1]}}, ValueError),
     ({"tokens": "ab", "references": {"r1": [0], "r2": [1]}}, ValueError),
     ([1, 2], ValueError),
+    ({"tokens": ["a", "b"], "references": {"r1": [1.0], "r2": [0]}}, ValueError),
+    ({"tokens": ["a", 1], "references": {"r1": [0], "r2": [1]}}, ValueError),
 ])
 def test_load_structured_rejects_malformed_payloads(tmp_path, payload, error):
     (tmp_path / "a.json").write_text(json.dumps(payload), encoding="utf-8")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from wisebe import (Document, EvalConfig, build_general_reference,
+from wisebe import (BoundaryVector, Document, EvalConfig, build_general_reference,
                     build_window_reference, consensus_reference,
                     evaluate_corpus, evaluate_document, fleiss_kappa,
                     lenient_prf, load_corpus, strict_prf, windowed_precision,
@@ -69,6 +69,26 @@ def test_lenient_prf_matches_set_oracle(instance):
     assert (prf.tp, prf.fp, prf.fn) == (tp, fp, fn)
     assert (prf.precision, prf.recall) == (float(precision), float(recall))
     assert prf.f1 == pytest.approx(float(f1), abs=1e-12)
+
+
+@given(wide_scoring_instances())
+def test_boundary_vector_bits_round_trip_through_the_mask(instance):
+    refs, cand = instance
+    for vector in (*refs.references, cand):
+        bits = vector.bits
+        assert len(bits) == vector.n
+        assert vector.mask == sum(bit << j for j, bit in enumerate(bits))
+        doc_id, origin, label = vector.doc_id, vector.origin, vector.label
+        positions = [j for j, bit in enumerate(bits) if bit]
+        for same in (BoundaryVector(doc_id, list(bits), origin, label),
+                     BoundaryVector(doc_id, bytes(bits), origin, label),
+                     BoundaryVector.from_positions(vector.n, positions, doc_id, origin, label)):
+            assert same.bits == bits
+            assert same == vector and hash(same) == hash(vector)
+        longer = BoundaryVector(doc_id, bits + (0,), origin, label)
+        relabeled = BoundaryVector(doc_id, bits, origin, label + "'")
+        assert longer.mask == relabeled.mask == vector.mask
+        assert longer != vector and relabeled != vector
 
 
 @given(wide_reference_sets(), st.data())

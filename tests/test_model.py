@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -61,10 +63,10 @@ def test_parse_keeps_other_punctuation_inside_tokens():
 
 @pytest.mark.parametrize("raw", ["", "   \n\t", "...", ",,::"])
 def test_parse_rejects_effectively_empty_input(raw):
-    with pytest.raises(EmptyTranscript):
-        parse_segmented_text(raw)
-    with pytest.raises(EmptyTranscript):
-        normalize_and_tokenize(raw)
+    with pytest.raises(EmptyTranscript, match="^transcript 'd' has no tokens$"):
+        parse_segmented_text(raw, "d")
+    with pytest.raises(EmptyTranscript, match="^transcript 'd' has no tokens$"):
+        normalize_and_tokenize(raw, "d")
 
 
 def test_normalize_drops_all_segmentation_punctuation():
@@ -123,6 +125,10 @@ def test_boundary_vector_positions_and_count():
     assert vector.positions == (1, 3, 4)
     assert vector.boundary_count == 3
     assert vector.n == 5
+    # the mask is the only stored form of the marks
+    assert [f.name for f in dataclasses.fields(vector)] == ["doc_id", "origin", "label",
+                                                           "n", "mask"]
+    assert repr(vector) == "BoundaryVector(doc_id='d', origin='reference', label='', n=5)"
 
 
 def test_from_positions_round_trips():
@@ -200,6 +206,9 @@ def test_to_segmented_text_requires_alignment_and_real_delimiter():
     transcript = Transcript("d", ("a", "b"))
     with pytest.raises(AlignmentError):
         to_segmented_text(transcript, BoundaryVector("d", (1,)))
+    with pytest.raises(AlignmentError):
+        to_segmented_text(transcript, BoundaryVector("e", (1, 0)))
+    assert to_segmented_text(transcript, BoundaryVector("", (1, 0))) == "a. b"
     with pytest.raises(ValueError):
         to_segmented_text(transcript, BoundaryVector("d", (1, 0)), delimiter=",")
 

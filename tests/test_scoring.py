@@ -70,7 +70,7 @@ def test_empty_candidate_scores_zero():
 
 
 def test_recall_needs_a_window():
-    empty = WindowReference("d", 0, 0, 2, 4)
+    empty = WindowReference("d", 0, 0, 4)
     with pytest.raises(NoBoundaries):
         windowed_recall(_cand(1, 0, 0, 0), empty)
     assert windowed_precision(_cand(1, 0, 0, 0), empty) == 0.0
