@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when some documents failed to evaluate,
 2 on a corpus-level or usage error.  Failures are written to stderr
-as a JSON object {"errors": [{"doc_id", "kind", "message"}, ...]}.
+as a JSON object {"errors": [{"doc_id", "kind", "message"}, ...]},
+after ignored corpus entries, if any, as {"warnings": [...]}.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ def _emit_errors(errors: list[dict]):
 
 
 def _warn(warnings):
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    if warnings:
+        print(json.dumps({"warnings": list(warnings)}), file=sys.stderr)
 
 
 def _write(data: bytes, output: Path | None):

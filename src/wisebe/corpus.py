@@ -15,8 +15,9 @@ Boundary positions are 0-based token indices, strictly increasing.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
-from operator import lt
+from operator import attrgetter, lt
 from pathlib import Path
 
 from .errors import DuplicateLabel, MissingReferences
@@ -64,19 +65,46 @@ def system_label(stem: str) -> str:
     return stem[len(SYS_PREFIX):] if stem.startswith(SYS_PREFIX) else ""
 
 
-def _scan_directory(entry: Path, warnings: list[str]) -> DocumentFiles:
+def _split_name(name: str) -> tuple[str, str]:
+    """(stem, suffix) of a file name by PurePath's rule: the suffix starts
+    at the last dot, unless that dot opens or ends the name."""
+    i = name.rfind(".")
+    return (name[:i], name[i:]) if 0 < i < len(name) - 1 else (name, "")
+
+
+def _listing(directory: Path):
+    """Yield (name, path, is_dir, is_file) for every entry of `directory`,
+    sorted by name, in one scandir pass.
+
+    Paths are `directory / name` so they print as pathlib prints them
+    (`a/x`, not `./a/x`).  Types come from the listing; a symlink it
+    cannot follow is asked again through pathlib, which counts a loop as
+    neither and words any other error with the pathlib path.
+    """
+    with os.scandir(directory) as scan:
+        entries = sorted(scan, key=attrgetter("name"))
+    for entry in entries:
+        path = directory / entry.name
+        try:
+            is_dir, is_file = entry.is_dir(), entry.is_file()
+        except OSError:
+            is_dir, is_file = path.is_dir(), path.is_file()
+        yield entry.name, path, is_dir, is_file
+
+
+def _scan_directory(directory: Path, warnings: list[str]) -> DocumentFiles:
     refs: list[tuple[str, Path]] = []
     systems: list[tuple[str, Path]] = []
-    for child in sorted(entry.iterdir(), key=lambda p: p.name):
-        stem = child.stem
-        is_text = child.is_file() and child.suffix == TEXT_SUFFIX
+    for name, path, _, is_file in _listing(directory):
+        stem, suffix = _split_name(name)
+        is_text = is_file and suffix == TEXT_SUFFIX
         if is_text and stem.startswith(REF_PREFIX) and len(stem) > len(REF_PREFIX):
-            refs.append((stem, child))
+            refs.append((stem, path))
         elif is_text and (label := system_label(stem)):
-            systems.append((label, child))
+            systems.append((label, path))
         else:
-            warnings.append(f"{child}: not a reference or system file, ignored")
-    return DocumentFiles(entry.name, tuple(refs), tuple(systems))
+            warnings.append(f"{path}: not a reference or system file, ignored")
+    return DocumentFiles(directory.name, tuple(refs), tuple(systems))
 
 
 def load_corpus(root: str | Path) -> CorpusLayout:
@@ -92,16 +120,17 @@ def load_corpus(root: str | Path) -> CorpusLayout:
     documents: list[DocumentFiles] = []
     warnings: list[str] = []
     deficient: list[str] = []
-    for entry in sorted(root.iterdir(), key=lambda p: p.name):
-        if entry.is_dir():
-            files = _scan_directory(entry, warnings)
+    for name, path, is_dir, is_file in _listing(root):
+        stem, suffix = _split_name(name)
+        if is_dir:
+            files = _scan_directory(path, warnings)
             if len(files.ref_paths) < 2:
                 deficient.append(f"{files.doc_id} ({len(files.ref_paths)} reference file(s))")
             documents.append(files)
-        elif entry.is_file() and entry.suffix == STRUCTURED_SUFFIX:
-            documents.append(DocumentFiles(entry.stem, (), (), structured_path=entry))
+        elif is_file and suffix == STRUCTURED_SUFFIX:
+            documents.append(DocumentFiles(stem, (), (), structured_path=path))
         else:
-            warnings.append(f"{entry}: not a document directory or structured document, ignored")
+            warnings.append(f"{path}: not a document directory or structured document, ignored")
     seen: set[str] = set()
     for files in documents:
         if files.doc_id in seen:
@@ -167,6 +196,21 @@ def _load_structured(path: Path, doc_id: str) -> Document:
     return Document(transcript, ReferenceSet(doc_id, refs), cands)
 
 
+def _read_transcript(path: Path) -> str:
+    """The text of a transcript file, minus a leading UTF-8 BOM.
+
+    One unbuffered binary read, with no newline translation: a carriage
+    return is whitespace to the tokenizer, so translating it would change
+    no token and only cost time.  A decode error names the file.
+    """
+    with open(path, "rb", buffering=0) as file:
+        data = file.readall()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_document(files: DocumentFiles) -> Document:
     """Read and align one document; any token disagreement is fatal, and
     so are two references or two systems with the same label."""
@@ -181,7 +225,7 @@ def load_document(files: DocumentFiles) -> Document:
     for origin, entries in ((REFERENCE, files.ref_paths), (CANDIDATE, files.sys_paths)):
         for label, path in entries:
             transcript, vector = parse_segmented_text(
-                path.read_text(encoding="utf-8-sig"), files.doc_id, label, origin
+                _read_transcript(path), files.doc_id, label, origin
             )
             if base is None:
                 base, base_label = transcript, label

@@ -8,6 +8,9 @@ items-by-categories table.
 
 import re
 from fractions import Fraction
+from pathlib import Path
+
+from wisebe.errors import MissingReferences
 
 
 def windows_by_regex(counts, separation_limit):
@@ -130,3 +133,58 @@ def scan_by_characters(raw_text):
             buf.append(ch.lower())
     flush()
     return tokens, bits
+
+
+def corpus_by_iterdir(root):
+    """(documents, warnings) of a corpus root by the pathlib walk that
+    `load_corpus` replaced: `Path.iterdir` plus one `is_dir`/`is_file`
+    stat per entry, with `Path.stem`/`Path.suffix` for the name rules.
+
+    A document is (doc_id, ((label, path), ...) for references, the same
+    for systems, structured path or None), every path as a str.  Raises
+    what `load_corpus` raises, with the same messages.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        raise FileNotFoundError(f"corpus root {root} is not a directory")
+    documents, warnings, deficient = [], [], []
+    for entry in sorted(root.iterdir(), key=lambda p: p.name):
+        if entry.is_dir():
+            refs, systems = [], []
+            for child in sorted(entry.iterdir(), key=lambda p: p.name):
+                stem = child.stem
+                is_text = child.is_file() and child.suffix == ".txt"
+                if is_text and stem.startswith("ref_") and len(stem) > 4:
+                    refs.append((stem, str(child)))
+                elif is_text and stem.startswith("sys_") and len(stem) > 4:
+                    systems.append((stem[4:], str(child)))
+                else:
+                    warnings.append(f"{child}: not a reference or system file, ignored")
+            if len(refs) < 2:
+                deficient.append(f"{entry.name} ({len(refs)} reference file(s))")
+            documents.append((entry.name, tuple(refs), tuple(systems), None))
+        elif entry.is_file() and entry.suffix == ".json":
+            documents.append((entry.stem, (), (), str(entry)))
+        else:
+            warnings.append(f"{entry}: not a document directory or structured document, ignored")
+    seen = set()
+    for doc_id, *_ in documents:
+        if doc_id in seen:
+            raise ValueError(f"duplicate document id {doc_id!r} under {root}")
+        seen.add(doc_id)
+    if deficient:
+        raise MissingReferences(
+            "documents with fewer than two references: " + ", ".join(deficient))
+    return sorted(documents, key=lambda doc: doc[0]), warnings
+
+
+def transcript_error_by_tokens(doc_id, tokens):
+    """The message `Transcript` rejects these tokens with, or None: the
+    first empty token or token holding `.?!;`, checked one at a time."""
+    for j, token in enumerate(tokens):
+        if not token:
+            return f"transcript {doc_id!r}: empty token at position {j}"
+        if any(mark in token for mark in ".?!;"):
+            return (f"transcript {doc_id!r}: token {token!r} at position {j} "
+                    "contains unit-final punctuation")
+    return None

@@ -78,3 +78,69 @@ def wide_scoring_instances(draw, **kwargs):
     refs = draw(wide_reference_sets(**kwargs))
     bits = _sparse_bits(draw, refs.n)
     return refs, BoundaryVector("doc", tuple(bits), CANDIDATE, "sys")
+
+
+# Corpus trees on disk: names that sit on the edges of the stem/suffix
+# rule, entries that are not what their names say, and file contents
+# that every reader must turn into a typed error rather than a crash.
+ROOT_NAMES = ("a", "b", "a.json", "d.json", ".json", "x.", "b.json.", "c.d.json",
+              "notes.txt", "ref_x.txt", "junk.bin")
+CHILD_NAMES = ("ref_1.txt", "ref_2.txt", "ref_3.txt", "ref_.txt", "sys_.txt",
+               "ref_a.b.txt", "sys_S.txt", "sys_S.b.txt", "ref_x.", "ref_y.txt.",
+               ".txt", "ref_1", "ref_4.TXT", "sys_T.json", "notes.txt")
+TEXT_CONTENTS = (b"go on.", b"Go on. yes", b"go on yes.", b"", b"\x00\x01\xff\xfe",
+                 b"go \xff on.", b"\xef\xbb\xbfgo on.", b"go\r\non.\r", b"go on\xef\xbb\xbf.",
+                 b"go.on", b"...")
+JSON_CONTENTS = (
+    b"{", b"[" * 5000, b"[1, 2]", b'"tokens"', b"\xff{}",
+    b'{"tokens": ["go", "on"], "references": {"r": [0], "r": [1], "q": [1]}}',
+    b'{"tokens": ["go", "on"], "references": {"r": [true], "q": [1]}}',
+    b'{"tokens": ["go", "on"], "references": {"r": [1.0], "q": [1]}}',
+    b'{"tokens": ["go", "on"], "references": {"r": [1], "q": [0, 1]}, "systems": {"s": [1]}}',
+    b'{"tokens": ["go."], "references": {"r": [0], "q": [0]}}',
+    b'{"tokens": [], "references": {"r": [], "q": []}}',
+    b'{"tokens": ["go"], "references": {"r": [0], "q": [0]}, "systems": {"s": [0], "s": [0]}}',
+)
+
+
+def _tree_entries(names, contents, subtree):
+    """Lists of (name, kind, payload) with distinct names: a file with its
+    bytes, a directory with its entries, or a symlink (`dangling`, a
+    `loop` to itself, or a `link` to the sibling `ref_1.txt`)."""
+    entry = st.one_of(
+        st.tuples(st.sampled_from(names), st.just("file"), st.sampled_from(contents)),
+        st.tuples(st.sampled_from(names), st.just("dir"), subtree),
+        st.tuples(st.sampled_from(names), st.sampled_from(("dangling", "loop", "link")),
+                  st.none()),
+    )
+    return st.lists(entry, max_size=5, unique_by=lambda e: e[0])
+
+
+@st.composite
+def _document_entries(draw):
+    """A document directory's entries; half the time ref_1.txt and
+    ref_2.txt are added as files, so most corpora get past discovery."""
+    entries = draw(_tree_entries(CHILD_NAMES, TEXT_CONTENTS, st.just(())))
+    if draw(st.booleans()):
+        names = {name for name, _, _ in entries}
+        entries += [(name, "file", draw(st.sampled_from(TEXT_CONTENTS)))
+                    for name in ("ref_1.txt", "ref_2.txt") if name not in names]
+    return entries
+
+
+def corpus_trees():
+    """The root entries of a random corpus (see write_tree)."""
+    return _tree_entries(ROOT_NAMES, TEXT_CONTENTS + JSON_CONTENTS, _document_entries())
+
+
+def write_tree(root, entries):
+    """Create directory `root` holding `entries` (from corpus_trees)."""
+    root.mkdir()
+    for name, kind, payload in entries:
+        path = root / name
+        if kind == "file":
+            path.write_bytes(payload)
+        elif kind == "dir":
+            write_tree(path, payload)
+        else:
+            path.symlink_to({"dangling": "missing", "loop": name, "link": "ref_1.txt"}[kind])

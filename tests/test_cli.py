@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import wisebe
 from wisebe.cli import main
+from strategies import TEXT_CONTENTS, corpus_trees, write_tree
 
 
 def run_cli(args, tmp_path, fmt=None):
@@ -100,7 +106,22 @@ def test_stray_files_warn_on_stderr(tmp_path, capsys):
     (doc / "ref_2.txt").write_text("go on.", encoding="utf-8")
     code, _ = run_cli(["eval", str(root)], tmp_path)
     assert code == 0
-    assert "junk.bin" in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"warnings": [
+        f"{root / 'junk.bin'}: not a document directory or structured document, ignored"]}
+
+
+def test_non_utf8_reference_names_the_file(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    (root / "c").mkdir(parents=True)
+    (root / "c" / "ref_1.txt").write_bytes(b"go on.")
+    (root / "c" / "ref_2.txt").write_bytes(b"go \xff on.")
+    code, _ = run_cli(["eval", str(root)], tmp_path, fmt="json")
+    assert code == 1
+    [error] = json.loads(capsys.readouterr().err)["errors"]
+    assert error == {"doc_id": "c", "kind": "ValueError", "message":
+                     f"{root / 'c' / 'ref_2.txt'}: 'utf-8' codec can't decode byte 0xff "
+                     "in position 3: invalid start byte"}
 
 
 def test_agreement_subcommand(demo_corpus, tmp_path):
@@ -238,3 +259,65 @@ def test_repeated_json_key_is_a_document_error(tmp_path, capsys):
     [error] = json.loads(capsys.readouterr().err)["errors"]
     assert (error["doc_id"], error["kind"]) == ("a", "DuplicateLabel")
     assert "a.json" in error["message"] and "key 'r'" in error["message"]
+
+
+def _run_quietly(argv):
+    """main(argv) with stderr captured; returns (exit code, stderr lines)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue().splitlines()
+
+
+def _assert_structured_stderr(code, lines):
+    assert code in (0, 1, 2)
+    payloads = [json.loads(line) for line in lines]
+    assert all(isinstance(payload, dict) for payload in payloads)
+    if code:
+        assert "errors" in payloads[-1]
+
+
+CORPUS_COMMANDS = st.sampled_from([
+    ["eval", "--format", "json"], ["eval", "--baselines", "--threshold", "2"],
+    ["eval", "--window-limit", "0", "--format", "csv"], ["agreement"],
+])
+
+
+@settings(max_examples=60)
+@given(corpus_trees(), CORPUS_COMMANDS)
+def test_cli_survives_random_corpora(tree, command):
+    """Odd names, mistyped entries, broken symlinks, binary and
+    non-UTF-8 files, and malformed, nested or repeated-key JSON end in
+    exit 0, 1 or 2 with only JSON lines on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "corpus"
+        write_tree(root, tree)
+        code, lines = _run_quietly(
+            [command[0], str(root), *command[1:], "--output", str(Path(tmp) / "out")])
+    _assert_structured_stderr(code, lines)
+
+
+SCORE_FILES = st.one_of(
+    st.tuples(st.just("file"), st.sampled_from(TEXT_CONTENTS)),
+    st.tuples(st.sampled_from(("dir", "dangling", "loop")), st.none()),
+)
+
+
+@settings(max_examples=30)
+@given(st.lists(SCORE_FILES, min_size=2, max_size=4), st.integers(0, 2))
+def test_score_survives_random_files(files, systems):
+    """`wisebe score` reads each file through the same reader."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["score"]
+        for i, (kind, payload) in enumerate(files):
+            path = Path(tmp) / f"ref_{i}.txt"
+            if kind == "file":
+                path.write_bytes(payload)
+            elif kind == "dir":
+                path.mkdir()
+            else:
+                path.symlink_to("missing" if kind == "dangling" else path.name)
+            argv += ["--sys" if 0 < i <= systems else "--ref", str(path)]
+        code, lines = _run_quietly([*argv, "--output", str(Path(tmp) / "out")])
+    _assert_structured_stderr(code, lines)

@@ -1,9 +1,17 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from wisebe import (AlignmentError, MissingReferences, load_corpus,
                     load_document)
+from wisebe.corpus import _read_transcript
+from wisebe.model import _scan
+from oracles import corpus_by_iterdir
+from strategies import corpus_trees, write_tree
 
 
 def _write_doc(root, doc_id, files):
@@ -121,3 +129,57 @@ def test_load_structured_rejects_malformed_payloads(tmp_path, payload, error):
     (tmp_path / "a.json").write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(error):
         load_document(load_corpus(tmp_path).documents[0])
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+
+
+def _plain(layout):
+    """A CorpusLayout in the shape of oracles.corpus_by_iterdir."""
+    def labelled(pairs):
+        return tuple((label, str(path)) for label, path in pairs)
+    documents = [(f.doc_id, labelled(f.ref_paths), labelled(f.sys_paths),
+                  None if f.structured_path is None else str(f.structured_path))
+                 for f in layout.documents]
+    return documents, list(layout.warnings)
+
+
+@given(corpus_trees(), st.sampled_from(["abs", "abs/", ".", "corpus/"]))
+def test_load_corpus_matches_the_pathlib_walk(tree, spelling):
+    """Same documents, paths, warnings and errors as the iterdir walk,
+    printed the same way however the root is spelled."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        root = Path(tmp) / "corpus"
+        write_tree(root, tree)
+        arg = {"abs": str(root), "abs/": f"{root}/"}.get(spelling, spelling)
+        mp.chdir(root if spelling == "." else tmp)
+        expected = _outcome(lambda: corpus_by_iterdir(arg))
+        assert _outcome(lambda: _plain(load_corpus(arg))) == expected
+
+
+TEXT_BYTES = st.sampled_from([
+    b"go", b"On", b" ", b".", b"\r", b"\r\n", b"\n", b"\xef\xbb\xbf", b"\xff",
+    b"\xc3", b"\xe2\x82", b"\xc3\xa9", b"\xed\xa0\x80", b"\xe2\x80\xa8", b"a" * 9000,
+])
+
+
+@given(st.lists(TEXT_BYTES, max_size=12))
+def test_binary_read_scans_like_read_text(pieces):
+    """Dropping newline translation changes no token and no bit, and a
+    decode error keeps its offset and gains the file name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ref_1.txt"
+        path.write_bytes(b"".join(pieces))
+        try:
+            expected = _scan(path.read_text(encoding="utf-8-sig"))
+        except UnicodeDecodeError as exc:
+            with pytest.raises(ValueError) as err:
+                _read_transcript(path)
+            assert type(err.value) is ValueError
+            assert str(err.value) == f"{path}: {exc}"
+        else:
+            assert _scan(_read_transcript(path)) == expected

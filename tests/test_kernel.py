@@ -27,9 +27,10 @@ def _rows(refs):
     return [ref.bits for ref in refs.references]
 
 
-@given(wide_scoring_instances(), st.integers(0, 12))
-def test_kernel_matches_oracles_across_digits(instance, limit):
+@given(wide_scoring_instances(), st.data())
+def test_kernel_matches_oracles_across_digits(instance, data):
     refs, cand = instance
+    limit = data.draw(st.one_of(st.integers(0, 12), st.integers(0, refs.n + 2)), label="limit")
     rows = _rows(refs)
     counts = tuple(map(sum, zip(*rows)))
     general = build_general_reference(refs)

@@ -11,7 +11,7 @@ from wisebe import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
                     windowed_precision, build_general_reference,
                     build_window_reference, wisebe_score)
 from wisebe.model import _scan
-from oracles import scan_by_characters
+from oracles import scan_by_characters, transcript_error_by_tokens
 from strategies import bit_lists, tokens
 
 # Characters where the regex-split scanner could part ways with the
@@ -223,3 +223,16 @@ def test_parse_serialize_round_trip(data):
     parsed_t, parsed_v = parse_segmented_text(text, "d")
     assert parsed_t.tokens == transcript.tokens
     assert parsed_v.bits == vector.bits
+
+
+@given(st.lists(st.text(alphabet="ab.?!;\x00é", max_size=3), min_size=1, max_size=8))
+def test_transcript_validation_matches_the_token_loop(token_list):
+    """The substring fast path accepts exactly the tokens the per-token
+    loop accepts, and a rejection names the same first offender."""
+    expected = transcript_error_by_tokens("d", token_list)
+    if expected is None:
+        assert Transcript("d", token_list).tokens == tuple(token_list)
+    else:
+        with pytest.raises(ValueError) as err:
+            Transcript("d", token_list)
+        assert str(err.value) == expected
