@@ -142,24 +142,14 @@ def build_window_reference(general: GeneralReference,
     if separation_limit < 0:
         raise ValueError(f"separation limit must be >= 0, got {separation_limit}")
     voted = general.at_least[1]
-    if not voted:
-        return WindowReference(general.doc_id, 0, 0, general.n)
-    # The gaps are the unvoted positions between the first and the last
-    # vote; a gap run joins its neighbours unless it is longer than the
-    # limit.  Bit j of `run` is set when gaps j..j+width-1 all are, and the
-    # width doubles per step until it is limit + 1 (so about log2(limit)
-    # steps), leaving `run` set from the first bit of every long gap run.
-    first = voted & -voted
-    gaps = ((1 << voted.bit_length()) - first) & ~voted
-    run, width = gaps, 1
-    target = min(separation_limit, general.n) + 1
-    while width < target:
-        step = min(width, target - width)
-        run &= run >> step
-        width += step
-    # Adding each long run's first bit carries through it and clears it.
-    long_starts = run & ~(run << 1)
-    span = voted | ((gaps + long_starts) & gaps)
+    limit = min(separation_limit, general.n)
+    # An unvoted position j is inside a window when votes at j - a and
+    # j + b exist with a + b <= limit + 1; `after` marks the positions
+    # with a vote at most b positions later.
+    span, after = voted, 0
+    for b in range(1, limit + 1):
+        after |= voted >> b
+        span |= (voted << (limit + 1 - b)) & after
     return WindowReference(general.doc_id, voted, span, general.n)
 
 

@@ -65,15 +65,8 @@ def system_label(stem: str) -> str:
     return stem[len(SYS_PREFIX):] if stem.startswith(SYS_PREFIX) else ""
 
 
-def _split_name(name: str) -> tuple[str, str]:
-    """(stem, suffix) of a file name by PurePath's rule: the suffix starts
-    at the last dot, unless that dot opens or ends the name."""
-    i = name.rfind(".")
-    return (name[:i], name[i:]) if 0 < i < len(name) - 1 else (name, "")
-
-
 def _listing(directory: Path):
-    """Yield (name, path, is_dir, is_file) for every entry of `directory`,
+    """Yield (path, is_dir, is_file) for every entry of `directory`,
     sorted by name, in one scandir pass.
 
     Paths are `directory / name` so they print as pathlib prints them
@@ -89,15 +82,15 @@ def _listing(directory: Path):
             is_dir, is_file = entry.is_dir(), entry.is_file()
         except OSError:
             is_dir, is_file = path.is_dir(), path.is_file()
-        yield entry.name, path, is_dir, is_file
+        yield path, is_dir, is_file
 
 
 def _scan_directory(directory: Path, warnings: list[str]) -> DocumentFiles:
     refs: list[tuple[str, Path]] = []
     systems: list[tuple[str, Path]] = []
-    for name, path, _, is_file in _listing(directory):
-        stem, suffix = _split_name(name)
-        is_text = is_file and suffix == TEXT_SUFFIX
+    for path, _, is_file in _listing(directory):
+        stem = path.stem
+        is_text = is_file and path.suffix == TEXT_SUFFIX
         if is_text and stem.startswith(REF_PREFIX) and len(stem) > len(REF_PREFIX):
             refs.append((stem, path))
         elif is_text and (label := system_label(stem)):
@@ -120,15 +113,14 @@ def load_corpus(root: str | Path) -> CorpusLayout:
     documents: list[DocumentFiles] = []
     warnings: list[str] = []
     deficient: list[str] = []
-    for name, path, is_dir, is_file in _listing(root):
-        stem, suffix = _split_name(name)
+    for path, is_dir, is_file in _listing(root):
         if is_dir:
             files = _scan_directory(path, warnings)
             if len(files.ref_paths) < 2:
                 deficient.append(f"{files.doc_id} ({len(files.ref_paths)} reference file(s))")
             documents.append(files)
-        elif is_file and suffix == STRUCTURED_SUFFIX:
-            documents.append(DocumentFiles(stem, (), (), structured_path=path))
+        elif is_file and path.suffix == STRUCTURED_SUFFIX:
+            documents.append(DocumentFiles(path.stem, (), (), structured_path=path))
         else:
             warnings.append(f"{path}: not a document directory or structured document, ignored")
     seen: set[str] = set()
@@ -173,6 +165,8 @@ def _load_structured(path: Path, doc_id: str) -> Document:
                           object_pairs_hook=lambda pairs: _unique(pairs, f"{path}: key"))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     tokens = data.get("tokens")

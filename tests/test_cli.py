@@ -111,17 +111,21 @@ def test_stray_files_warn_on_stderr(tmp_path, capsys):
         f"{root / 'junk.bin'}: not a document directory or structured document, ignored"]}
 
 
-def test_non_utf8_reference_names_the_file(tmp_path, capsys):
+@pytest.mark.parametrize("files, doc_id, bad, offset", [
+    ({"c/ref_1.txt": b"go on.", "c/ref_2.txt": b"go \xff on."}, "c", "c/ref_2.txt", 3),
+    ({"a.json": b"\xff{}"}, "a", "a.json", 0),
+])
+def test_non_utf8_input_names_the_file(tmp_path, capsys, files, doc_id, bad, offset):
     root = tmp_path / "corpus"
-    (root / "c").mkdir(parents=True)
-    (root / "c" / "ref_1.txt").write_bytes(b"go on.")
-    (root / "c" / "ref_2.txt").write_bytes(b"go \xff on.")
+    for name, payload in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(payload)
     code, _ = run_cli(["eval", str(root)], tmp_path, fmt="json")
     assert code == 1
     [error] = json.loads(capsys.readouterr().err)["errors"]
-    assert error == {"doc_id": "c", "kind": "ValueError", "message":
-                     f"{root / 'c' / 'ref_2.txt'}: 'utf-8' codec can't decode byte 0xff "
-                     "in position 3: invalid start byte"}
+    assert error == {"doc_id": doc_id, "kind": "ValueError", "message":
+                     f"{root / bad}: 'utf-8' codec can't decode byte 0xff "
+                     f"in position {offset}: invalid start byte"}
 
 
 def test_agreement_subcommand(demo_corpus, tmp_path):
