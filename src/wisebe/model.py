@@ -9,7 +9,6 @@ Every metric reads a vector as an int bitmask with bit j for position j.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from itertools import compress, count
 from typing import Iterable, Sequence
@@ -20,8 +19,6 @@ from .errors import AlignmentError, EmptyTranscript, MissingReferences
 SU_DELIMITERS = frozenset(".?!;")
 # Punctuation stripped during normalization; never closes a unit.
 INTERNAL_MARKS = frozenset(":,")
-_DELIM_CLASS = re.escape("".join(sorted(SU_DELIMITERS)))
-_SPLIT_RE = re.compile(rf"([\s{_DELIM_CLASS}]+)")
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -169,33 +166,39 @@ class ReferenceSet:
         return self.references[0].n
 
 
-def _scan(raw_text: str) -> tuple[list[str], list[int]]:
-    """Lowercase tokens plus boundary bits, in a few C-level string passes.
+def _scan(raw_text: str) -> tuple[list[str], bytearray]:
+    """Lowercase tokens plus boundary flags, a few C calls per unit.
 
-    The text splits on runs of whitespace and unit-final marks; a run
-    that is not pure whitespace closes the unit of the token before it,
-    so a leading run marks nothing.  The regex whitespace class and
-    `str.isspace` agree on every code point, so tokens end where a
-    character loop would end them.  Two traps: `str.translate` with a
-    dict is about 40x slower than `replace` on non-ASCII text, and
-    whole-string `lower()` applies Final_Sigma (`"ΟΔΟΣ".lower()` is
-    `"οδος"`), so capital sigma is mapped first to keep the lowering
-    per character, as in the reference scanner
-    `tests/oracles.scan_by_characters`.
+    After normalisation every unit-final mark is a `.`, and the text is
+    read one `.`-terminated unit at a time: the unit's `str.split()` is
+    appended to the tokens, and the token count so far is the position,
+    shifted by one, of the boundary the mark closes.  A unit with no
+    tokens adds none, so runs of marks collapse, and a run before the
+    first token sets only the extra flag 0, which is dropped.  Empty
+    units are skipped before they are split, so long runs of marks stay
+    cheap, and each unit's token list is dropped once appended, so no
+    per-unit object lives on.  `str.split()` splits on `str.isspace`, as
+    the reference scanner `tests/oracles.scan_by_characters` does.  Two
+    traps: `str.translate` with a dict is about 40x slower than `replace`
+    on non-ASCII text, and whole-string `lower()` applies Final_Sigma
+    (`"ΟΔΟΣ".lower()` is `"οδος"`), so capital sigma is mapped first to
+    keep the lowering per character, as in that scanner.
     """
     text = raw_text
     for mark in INTERNAL_MARKS:
         text = text.replace(mark, "")
     text = text.replace("Σ", "σ").lower()
-    pieces = _SPLIT_RE.split(text)
-    tokens = pieces[0::2]
-    bits = [0 if sep.isspace() else 1 for sep in pieces[1::2]]
-    bits.append(0)
-    if not tokens[-1]:
-        del tokens[-1], bits[-1]
-    if tokens and not tokens[0]:
-        del tokens[0], bits[0]
-    return tokens, bits
+    for mark in SU_DELIMITERS:
+        text = text.replace(mark, ".")
+    *units, last = text.split(".")
+    tokens: list[str] = []
+    flags = bytearray(len(text) + 1)    # a text of c characters has at most c tokens
+    for unit in filter(None, units):
+        tokens += unit.split()
+        flags[len(tokens)] = 1
+    tokens += last.split()
+    del flags[len(tokens) + 1:], flags[0]
+    return tokens, flags
 
 
 def normalize_and_tokenize(raw_text: str, doc_id: str = "") -> Transcript:
@@ -211,9 +214,9 @@ def parse_segmented_text(raw_text: str, doc_id: str = "", label: str = "",
     token; runs of delimiters collapse into a single boundary.  Commas
     and colons are removed without effect.
     """
-    tokens, bits = _scan(raw_text)
+    tokens, flags = _scan(raw_text)
     transcript = Transcript(doc_id, tuple(tokens))
-    return transcript, BoundaryVector(doc_id, bytes(bits), origin, label)
+    return transcript, BoundaryVector(doc_id, flags, origin, label)
 
 
 def to_segmented_text(transcript: Transcript, vector: BoundaryVector,

@@ -272,6 +272,12 @@ def _record(columns, item) -> dict:
     return {c.name: _round3(c.get(item)) for c in columns}
 
 
+def _utf8(text: str) -> bytes:
+    """UTF-8 bytes of a rendered report; a document id read from a
+    non-UTF-8 file name gets its original bytes back."""
+    return text.encode("utf-8", "surrogateescape")
+
+
 def _json(payload) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
@@ -281,7 +287,7 @@ def _csv(columns, items) -> bytes:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([c.name for c in columns])
     writer.writerows(_cells(columns, items))
-    return out.getvalue().encode("utf-8")
+    return _utf8(out.getvalue())
 
 
 def _table(header: list[str], rows: list[list[str]]) -> list[str]:
@@ -315,7 +321,7 @@ def _agreement_section(documents, correlation: CorrelationResult | None) -> list
 
 def _text(sections: list[list[str]]) -> bytes:
     """Table sections separated by one blank line."""
-    return ("\n\n".join("\n".join(lines) for lines in sections) + "\n").encode("utf-8")
+    return _utf8("\n\n".join("\n".join(lines) for lines in sections) + "\n")
 
 
 def _render_table(report: EvaluationReport, groups: set[str]) -> bytes:

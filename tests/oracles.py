@@ -135,6 +135,29 @@ def scan_by_characters(raw_text):
     return tokens, bits
 
 
+_SPLIT_RE = re.compile(r"([\s.?!;]+)")
+
+
+def scan_by_regex(raw_text):
+    """(tokens, bits) of punctuated text by one regex split.
+
+    The text splits on runs of whitespace and `.?!;`; a run that is not
+    pure whitespace marks the token before it, so a leading run marks
+    nothing.  `,` and `:` are removed first, and capital sigma is mapped
+    before the whole-string `lower()` so no final sigma appears.
+    """
+    text = raw_text.replace(",", "").replace(":", "")
+    pieces = _SPLIT_RE.split(text.replace("Σ", "σ").lower())
+    tokens = pieces[0::2]
+    bits = [0 if sep.isspace() else 1 for sep in pieces[1::2]]
+    bits.append(0)
+    if not tokens[-1]:
+        del tokens[-1], bits[-1]
+    if tokens and not tokens[0]:
+        del tokens[0], bits[0]
+    return tokens, bits
+
+
 def corpus_by_iterdir(root):
     """(documents, warnings) of a corpus root by the pathlib walk that
     `load_corpus` replaced: `Path.iterdir` plus one `is_dir`/`is_file`

@@ -17,6 +17,24 @@ def tokens():
     return st.text(alphabet=TOKEN_ALPHABET, min_size=1, max_size=8)
 
 
+# Pieces of the runs between words: whitespace beyond ASCII, runs of
+# unit-final marks, internal marks, and whitespace-only units.
+SEPARATOR_PIECES = (" ", "\t", "\r\n", "\x85", "\xa0", "\u2028", "\u3000", ".", "?", "!",
+                    ";", "...", "?!", ",", ":", ". .", " ; ", "\ufeff")
+
+
+@st.composite
+def segmented_texts(draw, max_words=12):
+    """Words joined by drawn separator runs (some empty, which glues two
+    words), so units of 0-3 tokens are common; `st.text()` seldom gives
+    them."""
+    words = draw(st.lists(st.text(alphabet="abΣσİßé'", min_size=1, max_size=4),
+                          max_size=max_words))
+    runs = draw(st.lists(st.lists(st.sampled_from(SEPARATOR_PIECES), max_size=4).map("".join),
+                         min_size=len(words) + 1, max_size=len(words) + 1))
+    return runs[0] + "".join(word + run for word, run in zip(words, runs[1:]))
+
+
 @st.composite
 def reference_sets(draw, min_m=2, max_m=4, min_n=1, max_n=30, force_boundary=True):
     """m aligned reference vectors; by default at least one boundary exists."""

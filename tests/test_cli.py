@@ -128,6 +128,26 @@ def test_non_utf8_input_names_the_file(tmp_path, capsys, files, doc_id, bad, off
                      f"in position {offset}: invalid start byte"}
 
 
+@pytest.mark.parametrize("command", ["eval", "agreement"])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_non_utf8_document_id_round_trips(tmp_path, capsys, command, fmt):
+    """A document directory named by a byte that is not UTF-8 is reported
+    under that byte in table and csv, and as its escaped surrogate in json."""
+    root = tmp_path / "corpus"
+    doc = root / os.fsdecode(b"\xff")
+    doc.mkdir(parents=True)
+    (doc / "ref_1.txt").write_text("go on. yes", encoding="utf-8")
+    (doc / "ref_2.txt").write_text("go. on yes", encoding="utf-8")
+    (doc / "sys_S.txt").write_text("go on. yes", encoding="utf-8")
+    code, data = run_cli([command, str(root)], tmp_path, fmt=fmt)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    if fmt == "json":
+        assert b'"\\udcff"' in data
+    else:
+        assert b"\xff" in data
+
+
 def test_agreement_subcommand(demo_corpus, tmp_path):
     code, data = run_cli(["agreement", str(demo_corpus)], tmp_path, fmt="json")
     assert code == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given
@@ -11,14 +12,24 @@ from wisebe import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
                     windowed_precision, build_general_reference,
                     build_window_reference, wisebe_score)
 from wisebe.model import _scan
-from oracles import scan_by_characters, transcript_error_by_tokens
-from strategies import bit_lists, tokens
+from oracles import scan_by_characters, scan_by_regex, transcript_error_by_tokens
+from strategies import bit_lists, segmented_texts, tokens
 
-# Characters where the regex-split scanner could part ways with the
-# per-character one: delimiters and internal marks, whitespace beyond
-# ASCII, a BOM (not whitespace), and letters whose lowercase changes
-# length or depends on context.
+# Characters where the unit-length scanner could part ways with the
+# per-character and regex ones: delimiters and internal marks, the
+# whitespace that `str.split()` and `\s` split on beyond ASCII, a BOM
+# (not whitespace), and letters whose lowercase changes length or
+# depends on context.
 SCAN_ALPHABET = ".?!;,:ab \t\r\n\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\ufeffΣσİßé"
+
+
+def assert_scan_matches_oracles(raw):
+    """_scan gives the tokens and flags of the character scanner and of
+    the regex scanner it replaced."""
+    tokens, flags = _scan(raw)
+    for oracle in (scan_by_characters, scan_by_regex):
+        oracle_tokens, oracle_bits = oracle(raw)
+        assert (tokens, bytes(flags)) == (oracle_tokens, bytes(oracle_bits)), oracle.__name__
 
 
 def test_parse_basic():
@@ -61,7 +72,7 @@ def test_parse_keeps_other_punctuation_inside_tokens():
     assert transcript.tokens == ("that's", "all")
 
 
-@pytest.mark.parametrize("raw", ["", "   \n\t", "...", ",,::"])
+@pytest.mark.parametrize("raw", ["", "   \n\t", "...", ",,::", ". ?\x85! ;"])
 def test_parse_rejects_effectively_empty_input(raw):
     with pytest.raises(EmptyTranscript, match="^transcript 'd' has no tokens$"):
         parse_segmented_text(raw, "d")
@@ -76,12 +87,39 @@ def test_normalize_drops_all_segmentation_punctuation():
 
 @given(st.text())
 def test_scan_matches_character_oracle_on_any_text(raw):
-    assert _scan(raw) == scan_by_characters(raw)
+    assert_scan_matches_oracles(raw)
 
 
 @given(st.text(alphabet=SCAN_ALPHABET, max_size=40))
 def test_scan_matches_character_oracle_on_tricky_characters(raw):
-    assert _scan(raw) == scan_by_characters(raw)
+    assert_scan_matches_oracles(raw)
+
+
+@given(segmented_texts())
+def test_scan_matches_oracles_on_short_units(raw):
+    assert_scan_matches_oracles(raw)
+
+
+@pytest.mark.parametrize("raw, words, bits", [
+    ("a . . b", ("a", "b"), (1, 0)),        # a whitespace-only unit marks nothing new
+    ("a b.", ("a", "b"), (0, 1)),           # the last token can be marked
+    ("a b?! ;", ("a", "b"), (0, 1)),
+    (".?! ;a b", ("a", "b"), (0, 0)),       # a leading run marks nothing
+    (" . ; a. b", ("a", "b"), (1, 0)),
+])
+def test_parse_unit_edge_cases(raw, words, bits):
+    transcript, vector = parse_segmented_text(raw, "d")
+    assert transcript.tokens == words
+    assert vector.bits == bits
+
+
+def test_scan_is_linear_in_delimiter_runs():
+    raw = "." * 10**6 + " word"
+    start = time.perf_counter()
+    transcript, vector = parse_segmented_text(raw, "d")
+    assert time.perf_counter() - start < 1.0
+    assert transcript.tokens == ("word",)
+    assert vector.bits == (0,)
 
 
 def test_parse_lowers_capital_sigma_without_final_form():
