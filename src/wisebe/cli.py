@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -21,25 +20,6 @@ from .errors import USER_ERRORS
 from .report import (REPORT_FORMATS, EvalConfig, evaluate_agreement,
                      evaluate_corpus, evaluate_single, render_agreement,
                      render_report)
-
-ENV_WINDOW_LIMIT = "WISEBE_WINDOW_LIMIT"
-
-
-def _resolve_window_limit(flag_value: int | None) -> int:
-    """Flag beats environment beats built-in default."""
-    if flag_value is not None:
-        value = flag_value
-    else:
-        raw = os.environ.get(ENV_WINDOW_LIMIT)
-        if raw is None:
-            return DEFAULT_WINDOW_LIMIT
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_WINDOW_LIMIT}={raw!r} is not an integer") from None
-    if value < 0:
-        raise ValueError(f"window limit must be >= 0, got {value}")
-    return value
 
 
 def _emit_errors(errors: list[dict]):
@@ -60,8 +40,10 @@ def _write(data: bytes, output: Path | None):
 
 
 def _config(args) -> EvalConfig:
+    if args.window_limit < 0:
+        raise ValueError(f"window limit must be >= 0, got {args.window_limit}")
     return EvalConfig(
-        window_limit=_resolve_window_limit(args.window_limit),
+        window_limit=args.window_limit,
         baselines=args.baselines,
         consensus_threshold=args.threshold,
     )
@@ -108,10 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report to PATH instead of stdout")
 
     scoring = argparse.ArgumentParser(add_help=False)
-    scoring.add_argument("--window-limit", type=int, default=None, metavar="N",
+    scoring.add_argument("--window-limit", type=int, default=DEFAULT_WINDOW_LIMIT, metavar="N",
                          help="max non-boundary tokens between members of one "
-                              f"window (default: ${ENV_WINDOW_LIMIT} or "
-                              f"{DEFAULT_WINDOW_LIMIT})")
+                              f"window (default: {DEFAULT_WINDOW_LIMIT})")
     scoring.add_argument("--baselines", action="store_true",
                          help="also report mean SER and lenient scores")
     scoring.add_argument("--threshold", type=int, default=None, metavar="K",

@@ -42,7 +42,6 @@ class DocumentFiles:
 
 @dataclass(frozen=True)
 class CorpusLayout:
-    root: Path
     documents: tuple[DocumentFiles, ...]
     warnings: tuple[str, ...] = ()
 
@@ -133,7 +132,7 @@ def load_corpus(root: str | Path) -> CorpusLayout:
             "documents with fewer than two references: " + ", ".join(deficient)
         )
     documents.sort(key=lambda f: f.doc_id)
-    return CorpusLayout(root, tuple(documents), tuple(warnings))
+    return CorpusLayout(tuple(documents), tuple(warnings))
 
 
 def _positions_vector(raw, n: int, doc_id: str, name: str, origin: str) -> BoundaryVector:
@@ -178,6 +177,11 @@ def _load_structured(path: Path, doc_id: str) -> Document:
     systems = data.get("systems", {})
     if not isinstance(systems, dict):
         raise ValueError(f"{path}: 'systems' must be an object")
+    for name in (*references, *systems):
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{path}: key {name!r} is not valid UTF-8") from None
     transcript = Transcript(doc_id, tuple(tokens))
     refs = tuple(
         _positions_vector(references[name], transcript.n, doc_id, name, REFERENCE)
@@ -236,6 +240,4 @@ def load_document(files: DocumentFiles) -> Document:
                 refs.append(vector)
             else:
                 cands.append((label, vector))
-    if base is None:
-        raise MissingReferences(f"document {files.doc_id!r} has no files")
     return Document(base, ReferenceSet(files.doc_id, tuple(refs)), tuple(cands))

@@ -63,11 +63,6 @@ def mask_flags(mask: int, n: int) -> bytes:
     return format(mask, f"0{n}b").encode()[::-1].translate(_TO_FLAGS)
 
 
-def mask_positions(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of `mask`, in increasing order."""
-    return tuple(compress(count(), mask_flags(mask, 1)))
-
-
 @dataclass(frozen=True, init=False)
 class BoundaryVector:
     """Binary boundary marks over the token positions of one transcript.
@@ -110,7 +105,7 @@ class BoundaryVector:
     @property
     def positions(self) -> tuple[int, ...]:
         """0-based positions of the marked boundaries, in increasing order."""
-        return mask_positions(self.mask)
+        return tuple(compress(count(), mask_flags(self.mask, 1)))
 
     @classmethod
     def from_positions(cls, n: int, positions: Iterable[int], doc_id: str = "",
@@ -219,13 +214,10 @@ def parse_segmented_text(raw_text: str, doc_id: str = "", label: str = "",
     return transcript, BoundaryVector(doc_id, flags, origin, label)
 
 
-def to_segmented_text(transcript: Transcript, vector: BoundaryVector,
-                      delimiter: str = ".") -> str:
+def to_segmented_text(transcript: Transcript, vector: BoundaryVector) -> str:
     """Inverse of parse_segmented_text up to whitespace and case."""
-    if delimiter not in SU_DELIMITERS:
-        raise ValueError(f"{delimiter!r} does not close a unit")
     check_aligned(vector, transcript, "vector vs transcript")
-    parts = [tok + delimiter if b else tok for tok, b in zip(transcript.tokens, vector.bits)]
+    parts = [tok + "." if b else tok for tok, b in zip(transcript.tokens, vector.bits)]
     return " ".join(parts)
 
 

@@ -58,21 +58,19 @@ def test_eval_window_limit_changes_scores(demo_corpus, tmp_path):
     assert narrow != wide
 
 
-def test_env_window_limit_is_honored(demo_corpus, tmp_path, monkeypatch):
-    _, flagged = run_cli(["eval", str(demo_corpus), "--window-limit", "5"],
-                         tmp_path, fmt="json")
+def test_environment_does_not_change_the_report(demo_corpus, tmp_path, monkeypatch):
+    _, default = run_cli(["eval", str(demo_corpus)], tmp_path, fmt="json")
     monkeypatch.setenv("WISEBE_WINDOW_LIMIT", "5")
-    _, from_env = run_cli(["eval", str(demo_corpus)], tmp_path, fmt="json")
-    assert flagged == from_env
+    _, with_env = run_cli(["eval", str(demo_corpus)], tmp_path, fmt="json")
+    assert with_env == default
 
 
-def test_invalid_env_window_limit_fails_cleanly(demo_corpus, tmp_path,
-                                                monkeypatch, capsys):
-    monkeypatch.setenv("WISEBE_WINDOW_LIMIT", "wide")
-    code, _ = run_cli(["eval", str(demo_corpus)], tmp_path)
+def test_negative_window_limit_exits_two(demo_corpus, tmp_path, capsys):
+    code, _ = run_cli(["eval", str(demo_corpus), "--window-limit", "-1"], tmp_path)
     assert code == 2
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["errors"][0]["kind"] == "ValueError"
+    [error] = json.loads(capsys.readouterr().err)["errors"]
+    assert error == {"doc_id": None, "kind": "ValueError",
+                     "message": "window limit must be >= 0, got -1"}
 
 
 def test_missing_root_exits_two(tmp_path, capsys):
@@ -283,6 +281,31 @@ def test_repeated_json_key_is_a_document_error(tmp_path, capsys):
     [error] = json.loads(capsys.readouterr().err)["errors"]
     assert (error["doc_id"], error["kind"]) == ("a", "DuplicateLabel")
     assert "a.json" in error["message"] and "key 'r'" in error["message"]
+
+
+@pytest.mark.parametrize("section", ["references", "systems"])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_lone_surrogate_label_is_a_document_error(tmp_path, capsys, section, fmt):
+    """A label that cannot be written as UTF-8 fails its own document only."""
+    root = tmp_path / "corpus"
+    root.mkdir()
+    labels = {"references": {"r1": [0], "r2": [1, 2]}, "systems": {"S": [2]}}
+    (root / "good.json").write_text(json.dumps({"tokens": ["a", "b", "c"], **labels}),
+                                   encoding="utf-8")
+    first = next(iter(labels[section]))
+    labels[section]["\ud800"] = labels[section].pop(first)
+    (root / "bad.json").write_text(json.dumps({"tokens": ["a", "b", "c"], **labels}),
+                                  encoding="utf-8")
+    code, data = run_cli(["eval", str(root)], tmp_path, fmt=fmt)
+    assert code == 1
+    [error] = json.loads(capsys.readouterr().err)["errors"]
+    assert (error["doc_id"], error["kind"]) == ("bad", "ValueError")
+    assert error["message"] == f"{root / 'bad.json'}: key '\\ud800' is not valid UTF-8"
+    if fmt == "json":
+        assert {r["doc_id"] for r in json.loads(data)} == {"good", "mean"}
+    else:
+        sep = "," if fmt == "csv" else None
+        assert any(line.split(sep)[:2] == ["good", "S"] for line in data.decode().splitlines())
 
 
 def _run_quietly(argv):

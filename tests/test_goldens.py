@@ -9,8 +9,7 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 import goldens  # noqa: E402
 
 
-def test_demo_corpus_reports_match_goldens(tmp_path, monkeypatch):
-    monkeypatch.delenv("WISEBE_WINDOW_LIMIT", raising=False)
+def test_demo_corpus_reports_match_goldens(tmp_path):
     attempted, failures = goldens.check(main, REPO_ROOT, tmp_path)
     assert attempted == 15
     assert failures == []

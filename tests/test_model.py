@@ -247,8 +247,6 @@ def test_to_segmented_text_requires_alignment_and_real_delimiter():
     with pytest.raises(AlignmentError):
         to_segmented_text(transcript, BoundaryVector("e", (1, 0)))
     assert to_segmented_text(transcript, BoundaryVector("", (1, 0))) == "a. b"
-    with pytest.raises(ValueError):
-        to_segmented_text(transcript, BoundaryVector("d", (1, 0)), delimiter=",")
 
 
 @given(st.data())
