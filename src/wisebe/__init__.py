@@ -3,7 +3,7 @@
 The window-based score compares a candidate segmentation against all
 references fused together, then scales the result by how much those
 references agree among themselves.  Classic exact-position metrics and
-agreement statistics live alongside it for comparison.
+agreement measures live alongside it for comparison.
 """
 
 from .aggregation import (GeneralReference, WindowReference,

@@ -8,8 +8,8 @@ counting as in Knuth, TAOCP 4A, section 7.1.3.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import BadThreshold, NoBoundaries
 from .model import REFERENCE, BoundaryVector, ReferenceSet, mask_flags
@@ -19,8 +19,7 @@ DEFAULT_WINDOW_LIMIT = 2
 _RUN_RE = re.compile("1+")
 
 
-@dataclass(frozen=True)
-class GeneralReference:
+class GeneralReference(NamedTuple):
     """The vote profile of m references: at_least[d] masks the positions
     marked by at least d of them, d = 0..m (at_least[0] holds all n).
 
@@ -99,8 +98,7 @@ def build_general_reference(refs: ReferenceSet) -> GeneralReference:
     return general
 
 
-@dataclass(frozen=True)
-class WindowReference:
+class WindowReference(NamedTuple):
     """Voted positions grouped into windows under a token-gap limit.
 
     Consecutive voted positions join the same window while the number

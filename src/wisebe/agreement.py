@@ -2,24 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from statistics import correlation
-from typing import Sequence
+from math import fsum, sqrt
+from typing import NamedTuple, Sequence
 
 from .aggregation import build_general_reference, vote_profile
 from .errors import ConstantSequence, DegenerateAgreement
 from .model import ReferenceSet
+from .scoring import arithmetic_mean
 
 
-@dataclass(frozen=True)
-class AgreementStats:
+class AgreementStats(NamedTuple):
     doc_id: str
     agreement_ratio: float
     kappa: float | None
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     pcc: float
     sample_count: int
 
@@ -45,11 +43,18 @@ def agreement_stats(refs: ReferenceSet) -> AgreementStats:
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
-    """Pearson correlation over paired samples."""
+    """Pearson correlation over paired samples, by the formula of Python
+    3.11's standard library."""
     if len(xs) != len(ys):
         raise ValueError(f"sample length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise ValueError("correlation needs at least two sample pairs")
     if min(xs) == max(xs) or min(ys) == max(ys):
         raise ConstantSequence("correlation undefined for a zero-variance sequence")
-    return CorrelationResult(correlation(xs, ys), len(xs))
+    xbar, ybar = arithmetic_mean(xs), arithmetic_mean(ys)
+    sxy = fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    sxx = fsum((d := x - xbar) * d for x in xs)
+    syy = fsum((d := y - ybar) * d for y in ys)
+    if not sxx * syy:    # underflow on nearly equal samples
+        raise ConstantSequence("correlation undefined for a zero-variance sequence")
+    return CorrelationResult(sxy / sqrt(sxx * syy), len(xs))

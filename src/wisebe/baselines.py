@@ -3,18 +3,15 @@ multi-reference workarounds (averaging, lenient union/intersection)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from statistics import fmean
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .aggregation import GeneralReference, vote_profile
 from .errors import NoBoundaries
 from .model import BoundaryVector, ReferenceSet, check_aligned
-from .scoring import harmonic_f1
+from .scoring import arithmetic_mean, harmonic_f1
 
 
-@dataclass(frozen=True)
-class PRF:
+class PRF(NamedTuple):
     """Precision/recall/F1, with raw counts when they come from one pairing."""
 
     precision: float
@@ -31,8 +28,7 @@ class PRF:
         return cls(precision, recall, harmonic_f1(precision, recall), tp, fp, fn)
 
 
-@dataclass(frozen=True)
-class SerScore:
+class SerScore(NamedTuple):
     insertions: int
     deletions: int
     ser: float
@@ -63,9 +59,9 @@ def average_prf(scores: Iterable[PRF]) -> PRF:
     """Component-wise arithmetic mean of PRF values, without counts."""
     scores = list(scores)
     return PRF(
-        fmean(s.precision for s in scores),
-        fmean(s.recall for s in scores),
-        fmean(s.f1 for s in scores),
+        arithmetic_mean([s.precision for s in scores]),
+        arithmetic_mean([s.recall for s in scores]),
+        arithmetic_mean([s.f1 for s in scores]),
     )
 
 
@@ -89,11 +85,11 @@ def mean_ser_from_counts(scores: Iterable[PRF]) -> float | None:
     """Mean SER over per-reference strict PRF; None when some reference
     marks no boundary."""
     sers = [ser_from_counts(s) for s in scores]
-    return None if None in sers else fmean(sers)
+    return None if None in sers else arithmetic_mean(sers)
 
 
 def mean_ser(cand: BoundaryVector, refs: ReferenceSet) -> float:
-    return fmean(slot_error_rate(cand, ref).ser for ref in refs.references)
+    return arithmetic_mean([slot_error_rate(cand, ref).ser for ref in refs.references])
 
 
 def lenient_prf(cand: BoundaryVector, refs: ReferenceSet) -> PRF:

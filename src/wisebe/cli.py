@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         args, partial(evaluate_corpus, config=_config(args)), render_report))
 
     p_agree = sub.add_parser("agreement", parents=[common],
-                             help="reference agreement statistics only")
+                             help="reference agreement measures only")
     p_agree.add_argument("root", type=Path, help="corpus root directory")
     p_agree.set_defaults(func=lambda args: _cmd_corpus(
         args, evaluate_agreement, render_agreement))

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from operator import attrgetter, lt
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DuplicateLabel, MissingReferences
 from .model import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
@@ -30,8 +30,7 @@ TEXT_SUFFIX = ".txt"
 STRUCTURED_SUFFIX = ".json"
 
 
-@dataclass(frozen=True)
-class DocumentFiles:
+class DocumentFiles(NamedTuple):
     """Paths making up one document, before anything is read."""
 
     doc_id: str
@@ -40,14 +39,12 @@ class DocumentFiles:
     structured_path: Path | None = None
 
 
-@dataclass(frozen=True)
-class CorpusLayout:
+class CorpusLayout(NamedTuple):
     documents: tuple[DocumentFiles, ...]
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """One fully loaded, alignment-checked document."""
 
     transcript: Transcript
@@ -177,6 +174,9 @@ def _load_structured(path: Path, doc_id: str) -> Document:
     systems = data.get("systems", {})
     if not isinstance(systems, dict):
         raise ValueError(f"{path}: 'systems' must be an object")
+    for section, names in (("references", references), ("systems", systems)):
+        if "" in names:
+            raise ValueError(f"{path}: empty key in {section!r}")
     for name in (*references, *systems):
         try:
             name.encode("utf-8")

@@ -9,9 +9,8 @@ Every metric reads a vector as an int bitmask with bit j for position j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress, count
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AlignmentError, EmptyTranscript, MissingReferences
 
@@ -27,31 +26,28 @@ CANDIDATE = "candidate"
 _ORIGINS = (REFERENCE, CANDIDATE)
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple("Transcript", [("doc_id", str), ("tokens", tuple[str, ...])])):
     """Normalized token sequence shared by every segmentation of a document."""
 
-    doc_id: str
-    tokens: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if not self.tokens:
-            raise EmptyTranscript(f"transcript {self.doc_id!r} has no tokens")
+    def __new__(cls, doc_id: str, tokens: Iterable[str]):
+        tokens = tuple(tokens)
+        if not tokens:
+            raise EmptyTranscript(f"transcript {doc_id!r} has no tokens")
         # A few C-level substring tests accept clean tokens; the loop only
         # finds the first offender for the message.
-        if "" not in self.tokens:
-            joined = "\x00".join(self.tokens)
-            if not any(mark in joined for mark in SU_DELIMITERS):
-                return
-        for j, token in enumerate(self.tokens):
-            if not token:
-                raise ValueError(f"transcript {self.doc_id!r}: empty token at position {j}")
-            if SU_DELIMITERS.intersection(token):
-                raise ValueError(
-                    f"transcript {self.doc_id!r}: token {token!r} at position {j} "
-                    "contains unit-final punctuation"
-                )
+        joined = "\x00".join(tokens)
+        if "" in tokens or any(mark in joined for mark in SU_DELIMITERS):
+            for j, token in enumerate(tokens):
+                if not token:
+                    raise ValueError(f"transcript {doc_id!r}: empty token at position {j}")
+                if SU_DELIMITERS.intersection(token):
+                    raise ValueError(
+                        f"transcript {doc_id!r}: token {token!r} at position {j} "
+                        "contains unit-final punctuation"
+                    )
+        return tuple.__new__(cls, (doc_id, tokens))
 
     @property
     def n(self) -> int:
@@ -63,8 +59,8 @@ def mask_flags(mask: int, n: int) -> bytes:
     return format(mask, f"0{n}b").encode()[::-1].translate(_TO_FLAGS)
 
 
-@dataclass(frozen=True, init=False)
-class BoundaryVector:
+class BoundaryVector(NamedTuple("BoundaryVector", [("doc_id", str), ("origin", str),
+                                                   ("label", str), ("n", int), ("mask", int)])):
     """Binary boundary marks over the token positions of one transcript.
 
     `bits` is given as bytes or as values that int() maps to 0 or 1; the
@@ -72,14 +68,10 @@ class BoundaryVector:
     position j, which is what metrics read.  `bits` reads them back.
     """
 
-    doc_id: str
-    origin: str
-    label: str
-    n: int
-    mask: int = field(repr=False)
+    __slots__ = ()
 
-    def __init__(self, doc_id: str, bits: bytes | Iterable[int],
-                 origin: str = REFERENCE, label: str = ""):
+    def __new__(cls, doc_id: str, bits: bytes | Iterable[int],
+                origin: str = REFERENCE, label: str = ""):
         flags = bits                # bytes skip int() coercion: parser and from_positions
         if not isinstance(flags, (bytes, bytearray)):
             flags = bytes(b if b in (0, 1) else 2 for b in map(int, flags))
@@ -89,9 +81,16 @@ class BoundaryVector:
             raise EmptyTranscript(f"boundary vector {label or doc_id!r} has no positions")
         if origin not in _ORIGINS:
             raise ValueError(f"origin must be one of {_ORIGINS}, got {origin!r}")
-        # Frozen: fields are set through the instance dict, once.
-        vars(self).update(doc_id=doc_id, origin=origin, label=label, n=len(flags),
-                          mask=int(flags[::-1].translate(_TO_DIGITS), 2))
+        return tuple.__new__(cls, (doc_id, origin, label, len(flags),
+                                   int(flags[::-1].translate(_TO_DIGITS), 2)))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a vector through __new__, which takes bits.
+        return self.doc_id, mask_flags(self.mask, self.n), self.origin, self.label
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(doc_id={self.doc_id!r}, origin={self.origin!r}, "
+                f"label={self.label!r}, n={self.n!r})")
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -132,25 +131,25 @@ def check_aligned(left, right, what: str, strict_doc_id: bool = False) -> None:
         raise AlignmentError(f"{what}: document {left.doc_id!r} vs {right.doc_id!r}")
 
 
-@dataclass(frozen=True)
-class ReferenceSet:
+class ReferenceSet(NamedTuple("ReferenceSet", [("doc_id", str),
+                                               ("references", tuple[BoundaryVector, ...])])):
     """Two or more aligned reference segmentations of one document."""
 
-    doc_id: str
-    references: tuple[BoundaryVector, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        refs = tuple(self.references)
-        object.__setattr__(self, "references", refs)
+    def __new__(cls, doc_id: str, references: Iterable[BoundaryVector]):
+        refs = tuple(references)
+        self = tuple.__new__(cls, (doc_id, refs))
         if len(refs) < 2:
             raise MissingReferences(
-                f"document {self.doc_id!r} has {len(refs)} reference(s), need at least 2"
+                f"document {doc_id!r} has {len(refs)} reference(s), need at least 2"
             )
         for ref in refs:
             if ref.origin != REFERENCE:
                 raise ValueError(f"{ref.label!r} is not a reference segmentation")
-            check_aligned(ref, self, f"reference {ref.label!r} of document {self.doc_id!r}",
+            check_aligned(ref, self, f"reference {ref.label!r} of document {doc_id!r}",
                           strict_doc_id=True)
+        return self
 
     @property
     def m(self) -> int:

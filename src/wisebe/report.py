@@ -5,9 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from statistics import fmean
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .aggregation import (DEFAULT_WINDOW_LIMIT, build_general_reference,
                           build_window_reference)
@@ -17,20 +15,18 @@ from .baselines import (PRF, average_prf, mask_prf, mean_ser_from_counts,
                         profile_lenient_prf, strict_prf)
 from .corpus import CorpusLayout, Document, load_document
 from .errors import USER_ERRORS, ConstantSequence, UnknownFormat
-from .scoring import WisebeScore, window_score
+from .scoring import WisebeScore, arithmetic_mean, window_score
 
 MEAN_ROW_ID = "mean"
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(NamedTuple):
     window_limit: int = DEFAULT_WINDOW_LIMIT
     baselines: bool = False
     consensus_threshold: int | None = None
 
 
-@dataclass(frozen=True)
-class SystemRow:
+class SystemRow(NamedTuple):
     """All scores of one system on one document, at full precision.
 
     A per-system mean row has doc_id "mean" and no per-reference scores;
@@ -49,8 +45,7 @@ class SystemRow:
     consensus: PRF | None = None
 
 
-@dataclass(frozen=True)
-class DocumentSummary:
+class DocumentSummary(NamedTuple):
     doc_id: str
     agreement_ratio: float
     kappa: float | None
@@ -58,15 +53,13 @@ class DocumentSummary:
     system_boundaries: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class DocumentError:
+class DocumentError(NamedTuple):
     doc_id: str
     kind: str
     message: str
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     rows: tuple[SystemRow, ...]
     documents: tuple[DocumentSummary, ...]
     aggregates: tuple[SystemRow, ...]
@@ -74,19 +67,18 @@ class EvaluationReport:
     errors: tuple[DocumentError, ...] = ()
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     documents: tuple[AgreementStats, ...]
     correlation: CorrelationResult | None
     errors: tuple[DocumentError, ...] = ()
 
 
 def _mean_score(scores: list[WisebeScore]) -> WisebeScore:
-    return WisebeScore(fmean(s.precision_rw for s in scores),
-                       fmean(s.recall_rw for s in scores),
-                       fmean(s.f1_rw for s in scores),
-                       fmean(s.agreement_ratio for s in scores),
-                       fmean(s.wisebe for s in scores))
+    return WisebeScore(arithmetic_mean([s.precision_rw for s in scores]),
+                       arithmetic_mean([s.recall_rw for s in scores]),
+                       arithmetic_mean([s.f1_rw for s in scores]),
+                       arithmetic_mean([s.agreement_ratio for s in scores]),
+                       arithmetic_mean([s.wisebe for s in scores]))
 
 
 def _mean_defined(average: Callable, values: list):
@@ -135,8 +127,8 @@ def _mean_rows(rows) -> tuple[SystemRow, ...]:
         SystemRow(MEAN_ROW_ID, system, (),
                   mean=average_prf(r.mean for r in group),
                   score=_mean_score([r.score for r in group]),
-                  kappa=_mean_defined(fmean, [r.kappa for r in group]),
-                  mean_ser=_mean_defined(fmean, [r.mean_ser for r in group]),
+                  kappa=_mean_defined(arithmetic_mean, [r.kappa for r in group]),
+                  mean_ser=_mean_defined(arithmetic_mean, [r.mean_ser for r in group]),
                   lenient=_mean_defined(average_prf, [r.lenient for r in group]),
                   consensus=_mean_defined(average_prf, [r.consensus for r in group]))
         for system, group in sorted(by_system.items())
@@ -193,8 +185,7 @@ def evaluate_agreement(layout: CorpusLayout) -> AgreementReport:
 # ---------------------------------------------------------------------------
 # rendering
 
-@dataclass(frozen=True)
-class Column:
+class Column(NamedTuple):
     """One report column: its json/csv key, its table header (None when
     the column has no table cell), the dotted attribute path of its value,
     and the optional group it is shown with."""

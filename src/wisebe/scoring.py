@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import fsum
+from typing import NamedTuple, Sequence
 
 from .aggregation import (DEFAULT_WINDOW_LIMIT, WindowReference,
                           build_general_reference, build_window_reference)
@@ -17,8 +18,12 @@ def harmonic_f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-@dataclass(frozen=True)
-class WisebeScore:
+def arithmetic_mean(values: Sequence[float]) -> float:
+    """Mean of a non-empty sequence: its exactly rounded sum over its length."""
+    return fsum(values) / len(values)
+
+
+class WisebeScore(NamedTuple):
     """Windowed precision/recall/F1 and the final agreement-scaled value."""
 
     precision_rw: float

@@ -1,5 +1,8 @@
+import statistics
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from wisebe import (BoundaryVector, ConstantSequence, DegenerateAgreement,
@@ -66,11 +69,12 @@ def test_pearson_reports_sample_count():
 
 
 def test_pearson_rejects_degenerate_input():
-    with pytest.raises(ConstantSequence):
+    with pytest.raises(ConstantSequence,
+                       match="^correlation undefined for a zero-variance sequence$"):
         pearson([1.0, 1.0, 1.0], [0.1, 0.2, 0.3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^correlation needs at least two sample pairs$"):
         pearson([1.0], [2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sample length mismatch: 2 vs 3$"):
         pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
@@ -84,3 +88,33 @@ def test_pearson_matches_moment_oracle(xs, data):
             pearson(xs, ys)
     else:
         assert pearson(xs, ys).pcc == pytest.approx(pearson_by_moments(xs, ys), abs=1e-9)
+
+
+# Paired samples of equal length, as two lists.
+sample_pairs = st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                        min_size=2, max_size=30).map(lambda pairs: [list(s) for s in zip(*pairs)])
+
+
+@given(sample_pairs)
+@example([[0.0, 1e-200], [0.0, 1e-200]])      # squared deviations underflow to 0
+@example([[0.1, 0.4, 0.9, 0.2], [0.3, 0.1, 0.8, 0.4]])
+def test_pearson_matches_stdlib_correlation(pair):
+    """statistics.correlation is the oracle: Python 3.11 uses the same
+    formula, so the value is equal; later versions round differently."""
+    xs, ys = pair
+    if min(xs) == max(xs) or min(ys) == max(ys):
+        with pytest.raises(ConstantSequence):
+            pearson(xs, ys)
+        return
+    try:
+        expected = statistics.correlation(xs, ys)
+    except statistics.StatisticsError:
+        with pytest.raises(ConstantSequence):
+            pearson(xs, ys)
+        return
+    result = pearson(xs, ys)
+    assert result.sample_count == len(xs)
+    if sys.version_info < (3, 12):
+        assert result.pcc == expected
+    else:
+        assert result.pcc == pytest.approx(expected, abs=1e-12)

@@ -308,6 +308,50 @@ def test_lone_surrogate_label_is_a_document_error(tmp_path, capsys, section, fmt
         assert any(line.split(sep)[:2] == ["good", "S"] for line in data.decode().splitlines())
 
 
+@pytest.mark.parametrize("section", ["references", "systems"])
+def test_empty_label_is_a_document_error(tmp_path, capsys, section):
+    """An empty name would give a blank system cell, like the mean row's."""
+    root = tmp_path / "corpus"
+    root.mkdir()
+    labels = {"references": {"r1": [1, 3], "r2": [3]}, "systems": {"S": [1]}}
+    labels[section][""] = labels[section].pop(next(iter(labels[section])))
+    (root / "a.json").write_text(json.dumps({"tokens": ["a", "b", "c", "d"], **labels}),
+                                 encoding="utf-8")
+    code, _ = run_cli(["eval", str(root)], tmp_path, fmt="csv")
+    assert code == 1
+    [error] = json.loads(capsys.readouterr().err)["errors"]
+    assert (error["doc_id"], error["kind"]) == ("a", "ValueError")
+    assert error["message"] == f"{root / 'a.json'}: empty key in {section!r}"
+
+
+# Run in a fresh interpreter: prints the probed modules loaded before
+# wisebe.cli is imported and after it ran each command line.
+IMPORT_PROBE = """
+import json, sys
+probed = json.loads(sys.argv[1])
+before = [name for name in probed if name in sys.modules]
+import wisebe.cli
+for argv in json.loads(sys.argv[2]):
+    assert wisebe.cli.main(argv) == 0, argv
+print(json.dumps([before, [name for name in probed if name in sys.modules]]))
+"""
+
+
+def test_cli_imports_nothing_heavy(demo_corpus, tmp_path):
+    """The import cost is gone, not deferred into the commands."""
+    probed = ["dataclasses", "inspect", "statistics", "fractions", "decimal"]
+    argvs = [["eval", "--baselines", "--threshold", "2", "--format", "csv",
+              "--output", str(tmp_path / "eval.csv"), str(demo_corpus)],
+             ["agreement", "--format", "json", "--output", str(tmp_path / "agreement.json"),
+              str(demo_corpus)]]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(probed),
+                           json.dumps(argvs)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout)
+    assert after == before
+    assert (tmp_path / "eval.csv").stat().st_size and (tmp_path / "agreement.json").stat().st_size
+
+
 def _run_quietly(argv):
     """main(argv) with stderr captured; returns (exit code, stderr lines)."""
     err = io.StringIO()

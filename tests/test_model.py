@@ -1,4 +1,3 @@
-import dataclasses
 import time
 
 import pytest
@@ -164,8 +163,7 @@ def test_boundary_vector_positions_and_count():
     assert vector.boundary_count == 3
     assert vector.n == 5
     # the mask is the only stored form of the marks
-    assert [f.name for f in dataclasses.fields(vector)] == ["doc_id", "origin", "label",
-                                                           "n", "mask"]
+    assert list(BoundaryVector._fields) == ["doc_id", "origin", "label", "n", "mask"]
     assert repr(vector) == "BoundaryVector(doc_id='d', origin='reference', label='', n=5)"
 
 

@@ -1,0 +1,82 @@
+"""Every record type is an immutable, slot-free, hashable named tuple."""
+
+import copy
+import importlib
+import pickle
+
+import pytest
+
+from wisebe import (CANDIDATE, PRF, BoundaryVector, EvalConfig,
+                    agreement_stats, build_general_reference,
+                    build_window_reference, evaluate_agreement, evaluate_corpus,
+                    load_corpus, load_document, slot_error_rate)
+from wisebe.report import COLUMNS, DocumentError
+from wisebe.scoring import WisebeScore
+
+MODULES = ("aggregation", "agreement", "baselines", "cli", "corpus", "errors",
+           "model", "report", "scoring")
+
+
+def _records(root):
+    layout = load_corpus(root)
+    doc = load_document(layout.documents[0])
+    general = build_general_reference(doc.references)
+    _, cand = doc.candidates[0]
+    config = EvalConfig(baselines=True, consensus_threshold=2)
+    report = evaluate_corpus(layout, config)
+    return (
+        layout, layout.documents[0], doc, doc.transcript, doc.references, cand,
+        general, build_window_reference(general), agreement_stats(doc.references),
+        report.correlation, report.rows[0], report.rows[0].mean, report.rows[0].score,
+        report.documents[0], report, evaluate_agreement(layout), config, COLUMNS[0],
+        DocumentError("d", "ValueError", "bad"),
+        slot_error_rate(cand, doc.references.references[0]),
+    )
+
+
+@pytest.fixture(scope="module")
+def records(demo_corpus):
+    return _records(demo_corpus)
+
+
+def test_every_record_type_is_covered(records):
+    defined = {
+        obj for module in MODULES
+        for obj in vars(importlib.import_module(f"wisebe.{module}")).values()
+        if isinstance(obj, type) and issubclass(obj, tuple)
+        and obj.__module__ == f"wisebe.{module}"
+    }
+    assert defined == {type(record) for record in records}
+    assert len(defined) == 20
+
+
+def test_records_are_frozen_and_slot_free(records):
+    for record in records:
+        name = type(record)._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def test_equal_records_hash_equal(records):
+    for record in records:
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record)
+            assert twin == record and hash(twin) == hash(record), type(record).__name__
+
+
+def test_record_reprs_are_pinned():
+    assert repr(PRF.from_counts(1, 1, 0)) == (
+        "PRF(precision=0.5, recall=1.0, f1=0.6666666666666666, tp=1, fp=1, fn=0)")
+    assert repr(PRF(0.25, 0.5, 1 / 3)) == (
+        "PRF(precision=0.25, recall=0.5, f1=0.3333333333333333, tp=None, fp=None, fn=None)")
+    assert repr(WisebeScore(0.5, 1.0, 2 / 3, 0.5, 1 / 3)) == (
+        "WisebeScore(precision_rw=0.5, recall_rw=1.0, f1_rw=0.6666666666666666, "
+        "agreement_ratio=0.5, wisebe=0.3333333333333333)")
+    # the mask is left out, as the marks can be long
+    assert repr(BoundaryVector.from_positions(4, [1, 3], "d", CANDIDATE, "S")) == (
+        "BoundaryVector(doc_id='d', origin='candidate', label='S', n=4)")
+

@@ -1,11 +1,14 @@
+import statistics
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from wisebe import (CANDIDATE, AlignmentError, BoundaryVector, NoBoundaries,
                     ReferenceSet, WindowReference, build_general_reference,
                     build_window_reference, combine_score, harmonic_f1,
                     windowed_precision, windowed_recall, wisebe_score)
+from wisebe.scoring import arithmetic_mean
 from oracles import windowed_prf_by_membership
 from strategies import scoring_instances
 
@@ -107,3 +110,17 @@ def test_score_stays_bounded(instance, limit):
     assert 0.0 <= score.f1_rw <= 1.0
     assert score.wisebe <= score.f1_rw + 1e-15
     assert score.f1_rw <= (score.precision_rw + score.recall_rw) / 2 + 1e-15
+
+
+def _outcome(mean, values):
+    try:
+        return mean(values)
+    except OverflowError as exc:    # fsum of huge values overflows in both
+        return type(exc)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+@example([0.1] * 10)
+@example([1e308, 1e308])
+def test_arithmetic_mean_equals_fmean(values):
+    assert _outcome(arithmetic_mean, values) == _outcome(statistics.fmean, values)
