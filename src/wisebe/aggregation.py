@@ -12,7 +12,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from .errors import BadThreshold, NoBoundaries
-from .model import REFERENCE, BoundaryVector, ReferenceSet, mask_flags
+from .model import ReferenceSet, mask_flags
 
 # Default number of non-boundary tokens allowed between members of one window.
 DEFAULT_WINDOW_LIMIT = 2
@@ -66,12 +66,6 @@ class GeneralReference(NamedTuple):
         share = sum(d * h for d, h in enumerate(hist)) / (n * m)
         expected = share * share + (1.0 - share) * (1.0 - share)
         return None if expected >= 1.0 else (observed - expected) / (1.0 - expected)
-
-    def consensus_mask(self, threshold: int) -> int:
-        """Positions with at least `threshold` votes."""
-        if not 1 <= threshold <= self.m:
-            raise BadThreshold(f"threshold {threshold} outside 1..{self.m}")
-        return self.at_least[threshold]
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -151,8 +145,9 @@ def build_window_reference(general: GeneralReference,
     return WindowReference(general.doc_id, voted, span, general.n)
 
 
-def consensus_reference(refs: ReferenceSet, threshold: int) -> BoundaryVector:
-    """Majority-style fused reference: keep positions with >= threshold votes."""
-    mask = vote_profile(refs).consensus_mask(threshold)
-    return BoundaryVector(refs.doc_id, mask_flags(mask, refs.n), REFERENCE,
-                          f"consensus>={threshold}")
+def consensus_reference(general: GeneralReference, threshold: int) -> int:
+    """Majority-style fused reference: the mask of the positions with at
+    least `threshold` votes."""
+    if not 1 <= threshold <= general.m:
+        raise BadThreshold(f"threshold {threshold} outside 1..{general.m}")
+    return general.at_least[threshold]

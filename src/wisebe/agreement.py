@@ -5,16 +5,10 @@ from __future__ import annotations
 from math import fsum, sqrt
 from typing import NamedTuple, Sequence
 
-from .aggregation import build_general_reference, vote_profile
+from .aggregation import vote_profile
 from .errors import ConstantSequence, DegenerateAgreement
 from .model import ReferenceSet
 from .scoring import arithmetic_mean
-
-
-class AgreementStats(NamedTuple):
-    doc_id: str
-    agreement_ratio: float
-    kappa: float | None
 
 
 class CorrelationResult(NamedTuple):
@@ -32,14 +26,6 @@ def fleiss_kappa(refs: ReferenceSet) -> float:
             f"references for {refs.doc_id!r} use a single category everywhere"
         )
     return kappa
-
-
-def agreement_stats(refs: ReferenceSet) -> AgreementStats:
-    """Agreement ratio and Fleiss' kappa.  Kappa is None where it is
-    undefined (every reference marks every token); the ratio and the
-    window-based score are still defined there."""
-    general = build_general_reference(refs)
-    return AgreementStats(refs.doc_id, general.ar, general.kappa)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:

@@ -49,6 +49,9 @@ class Transcript(NamedTuple("Transcript", [("doc_id", str), ("tokens", tuple[str
                     )
         return tuple.__new__(cls, (doc_id, tokens))
 
+    # _replace builds through _make, so both run __new__'s checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     @property
     def n(self) -> int:
         return len(self.tokens)
@@ -87,6 +90,15 @@ class BoundaryVector(NamedTuple("BoundaryVector", [("doc_id", str), ("origin", s
     def __getnewargs__(self):
         # copy and pickle rebuild a vector through __new__, which takes bits.
         return self.doc_id, mask_flags(self.mask, self.n), self.origin, self.label
+
+    @classmethod
+    def _make(cls, fields):
+        # Rebuilt from bits, so _replace and _make run __new__'s checks.
+        doc_id, origin, label, n, mask = fields
+        flags = mask_flags(mask, n)
+        if len(flags) != n:
+            raise ValueError(f"mask {mask!r} does not fit {n!r} positions")
+        return cls(doc_id, flags, origin, label)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(doc_id={self.doc_id!r}, origin={self.origin!r}, "
@@ -151,6 +163,8 @@ class ReferenceSet(NamedTuple("ReferenceSet", [("doc_id", str),
                           strict_doc_id=True)
         return self
 
+    _make = classmethod(lambda cls, fields: cls(*fields))    # as Transcript._make
+
     @property
     def m(self) -> int:
         return len(self.references)
@@ -193,11 +207,6 @@ def _scan(raw_text: str) -> tuple[list[str], bytearray]:
     tokens += last.split()
     del flags[len(tokens) + 1:], flags[0]
     return tokens, flags
-
-
-def normalize_and_tokenize(raw_text: str, doc_id: str = "") -> Transcript:
-    """Lowercase, split on whitespace, and drop all segmentation punctuation."""
-    return parse_segmented_text(raw_text, doc_id)[0]
 
 
 def parse_segmented_text(raw_text: str, doc_id: str = "", label: str = "",

@@ -7,12 +7,12 @@ import io
 import json
 from typing import Callable, NamedTuple
 
-from .aggregation import (DEFAULT_WINDOW_LIMIT, build_general_reference,
-                          build_window_reference)
-from .agreement import (AgreementStats, CorrelationResult, agreement_stats,
-                        pearson)
-from .baselines import (PRF, average_prf, mask_prf, mean_ser_from_counts,
-                        profile_lenient_prf, strict_prf)
+from .aggregation import (DEFAULT_WINDOW_LIMIT, GeneralReference,
+                          build_general_reference, build_window_reference,
+                          consensus_reference)
+from .agreement import CorrelationResult, pearson
+from .baselines import (PRF, lenient_prf, mask_prf, mean_prf, mean_ser,
+                        strict_prf)
 from .corpus import CorpusLayout, Document, load_document
 from .errors import USER_ERRORS, ConstantSequence, UnknownFormat
 from .scoring import WisebeScore, arithmetic_mean, window_score
@@ -60,6 +60,8 @@ class DocumentError(NamedTuple):
 
 
 class EvaluationReport(NamedTuple):
+    """A corpus report; a reference-only agreement report has no rows."""
+
     rows: tuple[SystemRow, ...]
     documents: tuple[DocumentSummary, ...]
     aggregates: tuple[SystemRow, ...]
@@ -67,53 +69,44 @@ class EvaluationReport(NamedTuple):
     errors: tuple[DocumentError, ...] = ()
 
 
-class AgreementReport(NamedTuple):
-    documents: tuple[AgreementStats, ...]
-    correlation: CorrelationResult | None
-    errors: tuple[DocumentError, ...] = ()
-
-
-def _mean_score(scores: list[WisebeScore]) -> WisebeScore:
-    return WisebeScore(arithmetic_mean([s.precision_rw for s in scores]),
-                       arithmetic_mean([s.recall_rw for s in scores]),
-                       arithmetic_mean([s.f1_rw for s in scores]),
-                       arithmetic_mean([s.agreement_ratio for s in scores]),
-                       arithmetic_mean([s.wisebe for s in scores]))
-
-
 def _mean_defined(average: Callable, values: list):
     """`average(values)`, or None when some value is None."""
     return None if any(v is None for v in values) else average(values)
+
+
+def _summarize(doc: Document) -> tuple[GeneralReference, DocumentSummary, list]:
+    """A document's vote profile, its summary, and its candidates by name."""
+    general = build_general_reference(doc.references)
+    candidates = sorted(doc.candidates, key=lambda item: item[0])
+    summary = DocumentSummary(
+        doc.doc_id, general.ar, general.kappa,
+        tuple((ref.label, ref.boundary_count) for ref in doc.references.references),
+        tuple((name, cand.boundary_count) for name, cand in candidates),
+    )
+    return general, summary, candidates
 
 
 def evaluate_document(doc: Document,
                       config: EvalConfig = EvalConfig()) -> tuple[DocumentSummary, list[SystemRow]]:
     """Score every candidate of one loaded document against one vote
     profile and one window reference."""
-    refs = doc.references
-    general = build_general_reference(refs)
-    kappa = general.kappa
-    candidates = sorted(doc.candidates, key=lambda item: item[0])
-    summary = DocumentSummary(
-        doc.doc_id, general.ar, kappa,
-        tuple((ref.label, ref.boundary_count) for ref in refs.references),
-        tuple((name, cand.boundary_count) for name, cand in candidates),
-    )
-    consensus = (general.consensus_mask(config.consensus_threshold)
+    refs = doc.references.references
+    general, summary, candidates = _summarize(doc)
+    consensus = (consensus_reference(general, config.consensus_threshold)
                  if config.consensus_threshold is not None else None)
     windows = build_window_reference(general, config.window_limit)
     rows = []
     for name, cand in candidates:
-        scores = [strict_prf(cand, ref) for ref in refs.references]
+        scores = [strict_prf(cand, ref) for ref in refs]
         rows.append(SystemRow(
             doc_id=doc.doc_id,
             system=name,
-            per_reference=tuple(zip((ref.label for ref in refs.references), scores)),
-            mean=average_prf(scores),
+            per_reference=tuple(zip((ref.label for ref in refs), scores)),
+            mean=mean_prf(scores),
             score=window_score(cand, windows, general.ar),
-            kappa=kappa,
-            mean_ser=mean_ser_from_counts(scores) if config.baselines else None,
-            lenient=profile_lenient_prf(cand, general) if config.baselines else None,
+            kappa=summary.kappa,
+            mean_ser=mean_ser(scores) if config.baselines else None,
+            lenient=lenient_prf(cand, general) if config.baselines else None,
             consensus=mask_prf(cand.mask, consensus) if consensus is not None else None,
         ))
     return summary, rows
@@ -125,12 +118,12 @@ def _mean_rows(rows) -> tuple[SystemRow, ...]:
         by_system.setdefault(row.system, []).append(row)
     return tuple(
         SystemRow(MEAN_ROW_ID, system, (),
-                  mean=average_prf(r.mean for r in group),
-                  score=_mean_score([r.score for r in group]),
+                  mean=mean_prf(r.mean for r in group),
+                  score=WisebeScore(*map(arithmetic_mean, zip(*(r.score for r in group)))),
                   kappa=_mean_defined(arithmetic_mean, [r.kappa for r in group]),
                   mean_ser=_mean_defined(arithmetic_mean, [r.mean_ser for r in group]),
-                  lenient=_mean_defined(average_prf, [r.lenient for r in group]),
-                  consensus=_mean_defined(average_prf, [r.consensus for r in group]))
+                  lenient=_mean_defined(mean_prf, [r.lenient for r in group]),
+                  consensus=_mean_defined(mean_prf, [r.consensus for r in group]))
         for system, group in sorted(by_system.items())
     )
 
@@ -176,10 +169,10 @@ def evaluate_single(doc: Document, config: EvalConfig = EvalConfig()) -> Evaluat
     return EvaluationReport(tuple(rows), (summary,), _mean_rows(rows), None, ())
 
 
-def evaluate_agreement(layout: CorpusLayout) -> AgreementReport:
-    """Reference-only pass: agreement ratio and kappa per document."""
-    stats, errors = _each_document(layout, lambda doc: agreement_stats(doc.references))
-    return AgreementReport(tuple(stats), _correlate(stats), errors)
+def evaluate_agreement(layout: CorpusLayout) -> EvaluationReport:
+    """Reference-only pass: agreement ratio and kappa per document, no rows."""
+    summaries, errors = _each_document(layout, lambda doc: _summarize(doc)[1])
+    return EvaluationReport((), tuple(summaries), (), _correlate(summaries), errors)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +220,7 @@ COLUMNS = (
 )
 REPORT_FIELDS = tuple(c.name for c in COLUMNS if c.group is None)
 
-# Per-document reference agreement, for DocumentSummary and AgreementStats.
+# Per-document reference agreement, from DocumentSummary.
 AGREEMENT_COLUMNS = (
     Column("doc_id", "doc", "doc_id"),
     Column("agreement_ratio", "agreement_ratio", "agreement_ratio"),
@@ -359,8 +352,8 @@ def render_report(report: EvaluationReport, fmt: str = "table") -> bytes:
                    csv=lambda: _csv(columns, rows))
 
 
-def render_agreement(report: AgreementReport, fmt: str = "table") -> bytes:
-    """Render a reference-only agreement report."""
+def render_agreement(report: EvaluationReport, fmt: str = "table") -> bytes:
+    """Render the reference agreement of a report's documents."""
     correlation = report.correlation
     return _render(fmt, table=lambda: _text([_agreement_section(report.documents, correlation)]),
                    json=lambda: _json({

@@ -6,7 +6,9 @@ import hypothesis.strategies as st
 
 from wisebe import (BadThreshold, BoundaryVector, GeneralReference,
                     NoBoundaries, ReferenceSet, build_general_reference,
-                    build_window_reference, consensus_reference)
+                    build_window_reference)
+from wisebe.aggregation import consensus_reference, vote_profile
+from wisebe.model import mask_flags
 from oracles import agreement_ratio_by_counting, windows_by_regex
 from strategies import reference_sets
 
@@ -92,15 +94,16 @@ def test_agreement_ratio_matches_counting_oracle(refs):
 
 
 def test_consensus_thresholds():
-    refs = _refs((1, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 1))
-    assert consensus_reference(refs, 1).bits == (1, 0, 1, 1)
-    assert consensus_reference(refs, 2).bits == (1, 0, 0, 1)
-    assert consensus_reference(refs, 3).bits == (1, 0, 0, 0)
-    assert consensus_reference(refs, 2).label == "consensus>=2"
+    general = vote_profile(_refs((1, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 1)))
+    assert mask_flags(consensus_reference(general, 1), 4) == bytes((1, 0, 1, 1))
+    assert mask_flags(consensus_reference(general, 2), 4) == bytes((1, 0, 0, 1))
+    assert mask_flags(consensus_reference(general, 3), 4) == bytes((1, 0, 0, 0))
+    # the profile's own mask: nothing is fused again
+    assert consensus_reference(general, 2) is general.at_least[2]
 
 
 @pytest.mark.parametrize("threshold", [0, 4, -1])
 def test_consensus_rejects_bad_threshold(threshold):
     refs = _refs((1, 0), (0, 1), (1, 1))
     with pytest.raises(BadThreshold):
-        consensus_reference(refs, threshold)
+        consensus_reference(vote_profile(refs), threshold)

@@ -6,7 +6,8 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from wisebe import (BoundaryVector, ConstantSequence, DegenerateAgreement,
-                    ReferenceSet, agreement_stats, fleiss_kappa, pearson)
+                    ReferenceSet, build_general_reference, fleiss_kappa,
+                    pearson)
 from oracles import fleiss_kappa_by_table, pearson_by_moments
 from strategies import reference_sets
 
@@ -47,12 +48,12 @@ def test_kappa_matches_textbook_oracle(refs):
         assert fleiss_kappa(refs) == pytest.approx(float(expected), abs=1e-12)
 
 
-def test_agreement_stats_bundles_ratio_and_kappa():
+def test_general_reference_bundles_ratio_and_kappa():
     refs = _refs((1, 0, 1, 1), (1, 0, 1, 0), (1, 0, 0, 0))
-    stats = agreement_stats(refs)
-    assert stats.doc_id == "d"
-    assert stats.agreement_ratio == pytest.approx(5 / 9)
-    assert stats.kappa == pytest.approx(1 / 3, abs=1e-12)
+    general = build_general_reference(refs)
+    assert general.doc_id == "d"
+    assert general.ar == pytest.approx(5 / 9)
+    assert general.kappa == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_pearson_perfect_lines():

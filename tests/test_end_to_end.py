@@ -1,0 +1,157 @@
+"""End-to-end metamorphic properties of the CLI reports.
+
+A drawn corpus is written as text directories and as `.json` documents,
+and `eval` (plain, and with baselines and a consensus threshold) and
+`agreement` are run on it in every format.  The report bytes must not
+depend on the layout or on the order of a document's references.
+Swapping which segmentation carries which reference label may only
+permute the rows that name a reference.  Adding a system may change no
+other system's rows.
+"""
+
+import csv
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from wisebe.cli import main
+from strategies import bit_lists, tokens
+
+FORMATS = ("table", "json", "csv")
+COMMANDS = {"eval": ["eval"], "baselines": ["eval", "--baselines", "--threshold", "2"],
+            "agreement": ["agreement"]}
+SYSTEM_LABELS = "ABC"
+EXTRA_SYSTEM = "Z"
+MAX_N = 70
+# Table sections whose rows name a reference.
+REFERENCE_SECTIONS = ("== boundary counts ==", "== exact-position scores ==")
+
+
+@st.composite
+def documents(draw, doc_id):
+    """(doc_id, tokens, reference bits, system bits, a permutation of the
+    references, bits of one more system)."""
+    n = draw(st.integers(1, MAX_N))
+    words = draw(st.lists(tokens(), min_size=n, max_size=n))
+    refs = draw(st.lists(bit_lists(n), min_size=2, max_size=5))
+    systems = draw(st.lists(bit_lists(n), max_size=len(SYSTEM_LABELS)))
+    order = draw(st.permutations(range(len(refs))))
+    return doc_id, words, refs, systems, order, draw(bit_lists(n))
+
+
+@st.composite
+def corpora(draw):
+    count = draw(st.integers(1, 3))
+    docs = [draw(documents(f"doc{i}")) for i in range(count)]
+    return docs, draw(st.integers(0, max(len(doc[1]) for doc in docs) + 2))
+
+
+def _ref_label(i):
+    return f"ref_{i + 1}"
+
+
+def _positions(bits):
+    return [j for j, bit in enumerate(bits) if bit]
+
+
+def _write_text(root, docs):
+    for doc_id, words, refs, systems, _, _ in docs:
+        folder = root / doc_id
+        folder.mkdir(parents=True)
+        files = [(_ref_label(i), bits) for i, bits in enumerate(refs)]
+        files += [(f"sys_{label}", bits) for label, bits in zip(SYSTEM_LABELS, systems)]
+        for stem, bits in files:
+            text = " ".join(w + "." if bit else w for w, bit in zip(words, bits))
+            (folder / f"{stem}.txt").write_text(text, encoding="utf-8")
+
+
+def _write_json(root, docs, ref_order=None, extra=False):
+    """One `.json` document per drawn document; `ref_order(doc)` lists the
+    reference indices in the order their keys are written."""
+    root.mkdir(parents=True)
+    for doc in docs:
+        doc_id, words, refs, systems, _, more = doc
+        order = ref_order(doc) if ref_order else range(len(refs))
+        named = dict(zip(SYSTEM_LABELS, systems), **({EXTRA_SYSTEM: more} if extra else {}))
+        payload = {"tokens": words,
+                   "references": {_ref_label(i): _positions(refs[i]) for i in order},
+                   "systems": {label: _positions(bits) for label, bits in named.items()}}
+        (root / f"{doc_id}.json").write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _reports(root, limit):
+    """{(command, format): (exit code, report bytes)}."""
+    out = root.parent / f"{root.name}.out"
+    reports = {}
+    for name, argv in COMMANDS.items():
+        options = ["--window-limit", str(limit)] if argv[0] == "eval" else []
+        for fmt in FORMATS:
+            code = main([*argv, str(root), "--format", fmt, *options, "--output", str(out)])
+            reports[name, fmt] = code, out.read_bytes()
+    return reports
+
+
+def _relabelled_table(table, back=None):
+    """The table split into sections, with the rows of the sections that
+    name a reference as sorted token lists whose labels are renamed by
+    `back[doc_id]`."""
+    back = back or {}
+    sections = table.decode().split("\n\n")
+    for k, section in enumerate(sections):
+        title, *lines = section.split("\n")
+        if title in REFERENCE_SECTIONS:
+            rows = [line.split() for line in lines[1:]]
+            for row in rows:
+                row[:] = [back.get(row[0], {}).get(token, token) for token in row]
+            sections[k] = (title, lines[0], sorted(rows))
+    return sections
+
+
+def _other_rows(report, fmt):
+    """The rows of every system but EXTRA_SYSTEM in a json or csv report."""
+    if fmt == "json":
+        return [row for row in json.loads(report) if row["system"] != EXTRA_SYSTEM]
+    return [row for row in csv.DictReader(io.StringIO(report.decode()))
+            if row["system"] != EXTRA_SYSTEM]
+
+
+@settings(max_examples=20)
+@given(corpora())
+def test_reports_are_invariant_under_layout_order_labels_and_other_systems(corpus):
+    docs, limit = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _write_json(tmp / "json", docs)
+        base = _reports(tmp / "json", limit)
+        _write_text(tmp / "text", docs)
+        assert _reports(tmp / "text", limit) == base
+
+        # Reference keys written in another order, each with its own marks.
+        _write_json(tmp / "reordered", docs, ref_order=lambda doc: doc[4])
+        assert _reports(tmp / "reordered", limit) == base
+
+        # Label i now carries the marks of reference order[i].
+        permuted = [(d, w, [refs[j] for j in order], s, order, x)
+                    for d, w, refs, s, order, x in docs]
+        _write_json(tmp / "permuted", permuted)
+        relabelled = _reports(tmp / "permuted", limit)
+        back = {doc[0]: {_ref_label(i): _ref_label(j) for i, j in enumerate(doc[4])}
+                for doc in docs}
+        for key, (code, report) in relabelled.items():
+            assert code == base[key][0]
+            if key[1] == "table" and key[0] != "agreement":
+                assert _relabelled_table(report, back) == _relabelled_table(base[key][1])
+            else:
+                assert report == base[key][1], key
+
+        _write_json(tmp / "extra", docs, extra=True)
+        extended = _reports(tmp / "extra", limit)
+        for key, (code, report) in extended.items():
+            if key[0] == "agreement":
+                assert (code, report) == base[key]
+            elif key[1] != "table":
+                assert _other_rows(report, key[1]) == _other_rows(base[key][1], key[1])

@@ -1,5 +1,6 @@
 """The bitmask kernel: differential tests over masks that span several
-int digits, and a guard that each document builds its vote profile once."""
+int digits, and a guard that each document builds its vote profile once
+and reads every metric from it."""
 
 import importlib
 import sys
@@ -10,12 +11,13 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from wisebe import (BoundaryVector, Document, EvalConfig, build_general_reference,
-                    build_window_reference, consensus_reference,
-                    evaluate_corpus, evaluate_document, fleiss_kappa,
-                    lenient_prf, load_corpus, strict_prf, windowed_precision,
+                    build_window_reference, evaluate_corpus, evaluate_document,
+                    fleiss_kappa, load_corpus, strict_prf, windowed_precision,
                     windowed_recall)
+from wisebe.aggregation import consensus_reference, vote_profile
+from wisebe.baselines import lenient_prf
 from wisebe.errors import DegenerateAgreement
-from wisebe.model import Transcript
+from wisebe.model import Transcript, mask_flags
 from oracles import (agreement_ratio_by_counting, consensus_by_counting,
                      fleiss_kappa_by_table, lenient_prf_by_sets,
                      strict_prf_by_sets, windowed_prf_by_membership,
@@ -64,7 +66,7 @@ def test_kernel_matches_oracles_across_digits(instance, data):
 @given(wide_scoring_instances())
 def test_lenient_prf_matches_set_oracle(instance):
     refs, cand = instance
-    prf = lenient_prf(cand, refs)
+    prf = lenient_prf(cand, vote_profile(refs))
     tp, fp, fn, precision, recall, f1 = lenient_prf_by_sets(
         cand.positions, [ref.positions for ref in refs.references])
     assert (prf.tp, prf.fp, prf.fn) == (tp, fp, fn)
@@ -95,9 +97,11 @@ def test_boundary_vector_bits_round_trip_through_the_mask(instance):
 @given(wide_reference_sets(), st.data())
 def test_consensus_matches_counting_oracle(refs, data):
     threshold = data.draw(st.integers(1, refs.m))
-    consensus = consensus_reference(refs, threshold)
-    assert consensus.positions == consensus_by_counting(_rows(refs), threshold)
-    assert consensus.n == refs.n
+    consensus = consensus_reference(vote_profile(refs), threshold)
+    flags = mask_flags(consensus, refs.n)
+    assert tuple(j for j, flag in enumerate(flags) if flag) == consensus_by_counting(
+        _rows(refs), threshold)
+    assert len(flags) == refs.n
 
 
 @given(wide_reference_sets())
@@ -111,7 +115,8 @@ def test_report_kappa_matches_textbook_oracle(refs):
         assert summary.kappa == pytest.approx(float(expected), abs=1e-12)
 
 
-# Functions that fuse the references of a document, by module.
+# Functions that fuse the references of a document or read a built vote
+# profile, by module.
 VOTE_BUILDERS = {
     "aggregation": ("vote_profile", "build_general_reference", "build_window_reference",
                     "consensus_reference"),
@@ -145,5 +150,8 @@ def test_evaluate_corpus_builds_one_vote_profile_per_document(demo_corpus, monke
     docs = len(layout.documents)
     assert report.errors == ()
     assert len(report.rows) > docs
+    # One profile and one window reference per document; lenient and
+    # consensus read that profile, fleiss_kappa and wisebe_score are unused.
     assert calls == Counter(vote_profile=docs, build_general_reference=docs,
-                            build_window_reference=docs)
+                            build_window_reference=docs, consensus_reference=docs,
+                            lenient_prf=len(report.rows))

@@ -6,11 +6,13 @@ import hypothesis.strategies as st
 
 from wisebe import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
                     EmptyTranscript, MissingReferences, ReferenceSet,
-                    Transcript, align, lenient_prf, normalize_and_tokenize,
-                    parse_segmented_text, strict_prf, to_segmented_text,
-                    windowed_precision, build_general_reference,
-                    build_window_reference, wisebe_score)
-from wisebe.model import _scan
+                    Transcript, parse_segmented_text, strict_prf,
+                    to_segmented_text, windowed_precision,
+                    build_general_reference, build_window_reference,
+                    wisebe_score)
+from wisebe.aggregation import vote_profile
+from wisebe.baselines import lenient_prf
+from wisebe.model import _scan, align
 from oracles import scan_by_characters, scan_by_regex, transcript_error_by_tokens
 from strategies import bit_lists, segmented_texts, tokens
 
@@ -75,12 +77,10 @@ def test_parse_keeps_other_punctuation_inside_tokens():
 def test_parse_rejects_effectively_empty_input(raw):
     with pytest.raises(EmptyTranscript, match="^transcript 'd' has no tokens$"):
         parse_segmented_text(raw, "d")
-    with pytest.raises(EmptyTranscript, match="^transcript 'd' has no tokens$"):
-        normalize_and_tokenize(raw, "d")
 
 
 def test_normalize_drops_all_segmentation_punctuation():
-    transcript = normalize_and_tokenize("One. Two! Three?")
+    transcript, _ = parse_segmented_text("One. Two! Three?")
     assert transcript.tokens == ("one", "two", "three")
 
 
@@ -201,7 +201,7 @@ def test_alignment_check_matches_empty_doc_ids_unless_strict():
     anonymous = BoundaryVector("", (1, 0), CANDIDATE)
     # scoring lets a candidate without a doc id stand for any document
     strict_prf(anonymous, refs.references[0])
-    lenient_prf(anonymous, refs)
+    lenient_prf(anonymous, vote_profile(refs))
     windowed_precision(anonymous, windows)
     wisebe_score(anonymous, refs)
     # a reference set takes only references of its own document

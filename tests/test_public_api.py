@@ -1,0 +1,64 @@
+"""The exported names: every error type, a sorted and small `__all__`,
+and every name that code outside the package imports from `wisebe`."""
+
+import ast
+import inspect
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+import wisebe
+from conftest import REPO_ROOT
+from wisebe import errors
+
+MAX_EXPORTS = 40
+
+
+def _names_imported_from_wisebe(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "wisebe"
+            for alias in node.names}
+
+
+def test_every_error_type_is_exported():
+    types = {name for name, obj in vars(errors).items()
+             if inspect.isclass(obj) and issubclass(obj, errors.WisebeError)}
+    assert "DuplicateLabel" in types
+    assert types <= set(wisebe.__all__)
+
+
+def test_star_import_gives_exactly_all():
+    namespace = {}
+    exec("from wisebe import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(wisebe.__all__)
+
+
+def test_all_is_sorted_unique_and_small():
+    names = wisebe.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert len(names) <= MAX_EXPORTS
+
+
+@pytest.mark.parametrize("path", ["tests/test_acceptance.py", "benchmarks/reanchor.py"])
+def test_names_imported_from_outside_resolve(path):
+    names = _names_imported_from_wisebe(REPO_ROOT / path)
+    assert names
+    assert [name for name in names if not hasattr(wisebe, name)] == []
+
+
+def test_goldens_match_on_the_oldest_supported_python():
+    """pyproject.toml promises Python >= 3.10; skipped where no working
+    `python3.10` is on PATH."""
+    python = shutil.which("python3.10")
+    if python is None or subprocess.run([python, "-c", "pass"],
+                                        capture_output=True).returncode != 0:
+        pytest.skip("python3.10 is not available")
+    run = subprocess.run([python, str(REPO_ROOT / "benchmarks" / "goldens.py")],
+                         capture_output=True, text=True, cwd=REPO_ROOT)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "15 of 15 goldens match" in run.stdout

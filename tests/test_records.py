@@ -6,10 +6,11 @@ import pickle
 
 import pytest
 
-from wisebe import (CANDIDATE, PRF, BoundaryVector, EvalConfig,
-                    agreement_stats, build_general_reference,
-                    build_window_reference, evaluate_agreement, evaluate_corpus,
-                    load_corpus, load_document, slot_error_rate)
+from wisebe import (CANDIDATE, PRF, BoundaryVector, EmptyTranscript,
+                    EvalConfig, MissingReferences, ReferenceSet, Transcript,
+                    build_general_reference, build_window_reference,
+                    evaluate_agreement, evaluate_corpus, load_corpus,
+                    load_document)
 from wisebe.report import COLUMNS, DocumentError
 from wisebe.scoring import WisebeScore
 
@@ -26,11 +27,10 @@ def _records(root):
     report = evaluate_corpus(layout, config)
     return (
         layout, layout.documents[0], doc, doc.transcript, doc.references, cand,
-        general, build_window_reference(general), agreement_stats(doc.references),
+        general, build_window_reference(general),
         report.correlation, report.rows[0], report.rows[0].mean, report.rows[0].score,
         report.documents[0], report, evaluate_agreement(layout), config, COLUMNS[0],
         DocumentError("d", "ValueError", "bad"),
-        slot_error_rate(cand, doc.references.references[0]),
     )
 
 
@@ -47,7 +47,7 @@ def test_every_record_type_is_covered(records):
         and obj.__module__ == f"wisebe.{module}"
     }
     assert defined == {type(record) for record in records}
-    assert len(defined) == 20
+    assert len(defined) == 17
 
 
 def test_records_are_frozen_and_slot_free(records):
@@ -80,3 +80,33 @@ def test_record_reprs_are_pinned():
     assert repr(BoundaryVector.from_positions(4, [1, 3], "d", CANDIDATE, "S")) == (
         "BoundaryVector(doc_id='d', origin='candidate', label='S', n=4)")
 
+
+
+_VECTOR = BoundaryVector("d", (0, 1, 1))
+
+
+@pytest.mark.parametrize("error, build", [
+    (ValueError, lambda: _VECTOR._replace(n=1, origin="guess")),
+    (ValueError, lambda: _VECTOR._replace(n=1)),
+    (ValueError, lambda: _VECTOR._replace(origin="guess")),
+    (ValueError, lambda: BoundaryVector._make(("d", "reference", "", 0, 0))),
+    (MissingReferences, lambda: ReferenceSet("d", (_VECTOR, _VECTOR))._replace(
+        references=(_VECTOR,))),
+    (EmptyTranscript, lambda: Transcript._make(("d", ()))),
+    (ValueError, lambda: Transcript("d", ("a",))._replace(tokens=("a.",))),
+])
+def test_replace_and_make_run_the_constructor_checks(error, build):
+    with pytest.raises(error):
+        build()
+
+
+def test_replace_and_make_keep_valid_records():
+    vector = BoundaryVector("d", (0, 1, 1))
+    relabeled = vector._replace(label="x")
+    assert relabeled == BoundaryVector("d", (0, 1, 1), label="x")
+    assert vector._replace(n=5).bits == (0, 1, 1, 0, 0)
+    assert BoundaryVector._make(vector) == vector
+    refs = ReferenceSet("d", (vector, relabeled))
+    assert ReferenceSet._make(refs) == refs and refs._replace(doc_id="d") == refs
+    transcript = Transcript("d", ("a", "b", "c"))
+    assert transcript._replace(doc_id="e") == Transcript("e", ("a", "b", "c"))

@@ -6,9 +6,9 @@ import pytest
 
 from wisebe import (REPORT_FIELDS, Document, EvalConfig, UnknownFormat,
                     evaluate_agreement, evaluate_corpus, evaluate_document,
-                    evaluate_single,
                     load_corpus, load_document, render_agreement,
                     render_report)
+from wisebe.report import EvaluationReport, evaluate_single
 
 
 @pytest.fixture(scope="module")
@@ -90,11 +90,10 @@ def test_baseline_columns_appear_only_when_requested(demo_corpus):
 
 
 def test_render_rejects_unknown_format(demo_report):
-    from wisebe import AgreementReport
     with pytest.raises(UnknownFormat):
         render_report(demo_report, "yaml")
     with pytest.raises(UnknownFormat):
-        render_agreement(AgreementReport((), None, ()), "yaml")
+        render_agreement(EvaluationReport((), (), (), None), "yaml")
 
 
 def test_empty_corpus_renders_valid_empty_outputs(tmp_path):
