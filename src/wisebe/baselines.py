@@ -7,7 +7,7 @@ from typing import Iterable, NamedTuple
 
 from .aggregation import GeneralReference
 from .model import BoundaryVector, check_aligned
-from .scoring import arithmetic_mean, harmonic_f1
+from .scoring import arithmetic_mean, harmonic_f1, mean_defined
 
 
 class PRF(NamedTuple):
@@ -60,8 +60,7 @@ def slot_error_rate(prf: PRF) -> float | None:
 def mean_ser(scores: Iterable[PRF]) -> float | None:
     """Mean SER over per-reference strict PRF; None when some reference
     marks no boundary."""
-    sers = [slot_error_rate(s) for s in scores]
-    return None if None in sers else arithmetic_mean(sers)
+    return mean_defined(arithmetic_mean, [slot_error_rate(s) for s in scores])
 
 
 def lenient_prf(cand: BoundaryVector, general: GeneralReference) -> PRF:

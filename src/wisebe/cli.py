@@ -56,8 +56,7 @@ def _cmd_corpus(args, evaluate, render) -> int:
     report = evaluate(layout)
     _write(render(report, args.format), args.output)
     if report.errors:
-        _emit_errors([{"doc_id": e.doc_id, "kind": e.kind, "message": e.message}
-                      for e in report.errors])
+        _emit_errors([e._asdict() for e in report.errors])
         return 1
     return 0
 

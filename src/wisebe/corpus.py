@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import DuplicateLabel, MissingReferences
-from .model import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
-                    ReferenceSet, Transcript, align, parse_segmented_text)
+from .model import (CANDIDATE, REFERENCE, BoundaryVector, ReferenceSet,
+                    Transcript, align, parse_segmented_text)
 
 REF_PREFIX = "ref_"
 SYS_PREFIX = "sys_"
@@ -221,21 +221,16 @@ def load_document(files: DocumentFiles) -> Document:
     refs: list[BoundaryVector] = []
     cands: list[tuple[str, BoundaryVector]] = []
     for origin, entries in ((REFERENCE, files.ref_paths), (CANDIDATE, files.sys_paths)):
-        for label, path in entries:
+        # In label order, as a structured document is read; labels are unique.
+        for label, path in sorted(entries):
             transcript, vector = parse_segmented_text(
                 _read_transcript(path), files.doc_id, label, origin
             )
             if base is None:
                 base, base_label = transcript, label
             else:
-                try:
-                    align([base, transcript])
-                except AlignmentError as exc:
-                    raise AlignmentError(
-                        f"document {files.doc_id!r}: {label} does not align "
-                        f"with {base_label}: {exc}",
-                        position=exc.position, left=exc.left, right=exc.right,
-                    ) from None
+                align(base, transcript,
+                      f"document {files.doc_id!r}: {label} does not align with {base_label}: ")
             if origin == REFERENCE:
                 refs.append(vector)
             else:

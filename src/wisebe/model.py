@@ -10,7 +10,7 @@ Every metric reads a vector as an int bitmask with bit j for position j.
 from __future__ import annotations
 
 from itertools import compress, count
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import AlignmentError, EmptyTranscript, MissingReferences
 
@@ -229,31 +229,20 @@ def to_segmented_text(transcript: Transcript, vector: BoundaryVector) -> str:
     return " ".join(parts)
 
 
-def align(transcripts: Sequence[Transcript]) -> Transcript:
-    """Check that all transcripts carry the same tokens; return the first.
+def align(first: Transcript, other: Transcript, what: str = "") -> None:
+    """Raise AlignmentError, its message led by `what`, unless both
+    transcripts carry the same tokens.
 
     Segmentations are only comparable position by position, so any
     token mismatch is a hard error, never repaired silently.
     """
-    if not transcripts:
-        raise ValueError("nothing to align")
-    first = transcripts[0]
-    for other in transcripts[1:]:
-        if other.tokens == first.tokens:
-            continue
-        limit = min(first.n, other.n)
-        for j in range(limit):
-            if first.tokens[j] != other.tokens[j]:
-                raise AlignmentError(
-                    f"token mismatch at position {j}: "
-                    f"{first.tokens[j]!r} != {other.tokens[j]!r}",
-                    position=j, left=first.tokens[j], right=other.tokens[j],
-                )
-        # Same prefix, different length.
-        raise AlignmentError(
-            f"length mismatch: {first.n} vs {other.n} tokens",
-            position=limit,
-            left=first.tokens[limit] if first.n > limit else None,
-            right=other.tokens[limit] if other.n > limit else None,
-        )
-    return first
+    if other.tokens == first.tokens:
+        return
+    limit = min(first.n, other.n)
+    j = next((j for j in range(limit) if first.tokens[j] != other.tokens[j]), limit)
+    left, right = (t.tokens[j] if j < t.n else None for t in (first, other))
+    raise AlignmentError(
+        f"{what}token mismatch at position {j}: {left!r} != {right!r}" if j < limit
+        else f"{what}length mismatch: {first.n} vs {other.n} tokens",
+        position=j, left=left, right=right,
+    )

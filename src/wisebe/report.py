@@ -15,7 +15,7 @@ from .baselines import (PRF, lenient_prf, mask_prf, mean_prf, mean_ser,
                         strict_prf)
 from .corpus import CorpusLayout, Document, load_document
 from .errors import USER_ERRORS, ConstantSequence, UnknownFormat
-from .scoring import WisebeScore, arithmetic_mean, window_score
+from .scoring import WisebeScore, arithmetic_mean, mean_defined, window_score
 
 MEAN_ROW_ID = "mean"
 
@@ -69,11 +69,6 @@ class EvaluationReport(NamedTuple):
     errors: tuple[DocumentError, ...] = ()
 
 
-def _mean_defined(average: Callable, values: list):
-    """`average(values)`, or None when some value is None."""
-    return None if any(v is None for v in values) else average(values)
-
-
 def _summarize(doc: Document) -> tuple[GeneralReference, DocumentSummary, list]:
     """A document's vote profile, its summary, and its candidates by name."""
     general = build_general_reference(doc.references)
@@ -120,10 +115,10 @@ def _mean_rows(rows) -> tuple[SystemRow, ...]:
         SystemRow(MEAN_ROW_ID, system, (),
                   mean=mean_prf(r.mean for r in group),
                   score=WisebeScore(*map(arithmetic_mean, zip(*(r.score for r in group)))),
-                  kappa=_mean_defined(arithmetic_mean, [r.kappa for r in group]),
-                  mean_ser=_mean_defined(arithmetic_mean, [r.mean_ser for r in group]),
-                  lenient=_mean_defined(mean_prf, [r.lenient for r in group]),
-                  consensus=_mean_defined(mean_prf, [r.consensus for r in group]))
+                  kappa=mean_defined(arithmetic_mean, [r.kappa for r in group]),
+                  mean_ser=mean_defined(arithmetic_mean, [r.mean_ser for r in group]),
+                  lenient=mean_defined(mean_prf, [r.lenient for r in group]),
+                  consensus=mean_defined(mean_prf, [r.consensus for r in group]))
         for system, group in sorted(by_system.items())
     )
 
@@ -153,26 +148,28 @@ def _each_document(layout: CorpusLayout, evaluate: Callable[[Document], object])
     return results, tuple(errors)
 
 
-def evaluate_corpus(layout: CorpusLayout,
-                    config: EvalConfig = EvalConfig()) -> EvaluationReport:
-    """Score a whole corpus, collecting per-document failures instead of
-    aborting the run."""
-    results, errors = _each_document(layout, lambda doc: evaluate_document(doc, config))
+def _report(results, errors=()) -> EvaluationReport:
+    """The report of (summary, rows) results, one per evaluated document."""
     summaries = tuple(summary for summary, _ in results)
     rows = tuple(row for _, doc_rows in results for row in doc_rows)
     return EvaluationReport(rows, summaries, _mean_rows(rows), _correlate(summaries), errors)
 
 
+def evaluate_corpus(layout: CorpusLayout,
+                    config: EvalConfig = EvalConfig()) -> EvaluationReport:
+    """Score a whole corpus, collecting per-document failures instead of
+    aborting the run."""
+    return _report(*_each_document(layout, lambda doc: evaluate_document(doc, config)))
+
+
 def evaluate_single(doc: Document, config: EvalConfig = EvalConfig()) -> EvaluationReport:
     """Report for one already-loaded document (no cross-document correlation)."""
-    summary, rows = evaluate_document(doc, config)
-    return EvaluationReport(tuple(rows), (summary,), _mean_rows(rows), None, ())
+    return _report([evaluate_document(doc, config)])
 
 
 def evaluate_agreement(layout: CorpusLayout) -> EvaluationReport:
     """Reference-only pass: agreement ratio and kappa per document, no rows."""
-    summaries, errors = _each_document(layout, lambda doc: _summarize(doc)[1])
-    return EvaluationReport((), tuple(summaries), (), _correlate(summaries), errors)
+    return _report(*_each_document(layout, lambda doc: (_summarize(doc)[1], ())))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from math import fsum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .aggregation import (DEFAULT_WINDOW_LIMIT, WindowReference,
                           build_general_reference, build_window_reference)
@@ -21,6 +21,11 @@ def harmonic_f1(precision: float, recall: float) -> float:
 def arithmetic_mean(values: Sequence[float]) -> float:
     """Mean of a non-empty sequence: its exactly rounded sum over its length."""
     return fsum(values) / len(values)
+
+
+def mean_defined(average: Callable, values: list):
+    """`average(values)`, or None (undefined) when some value is None."""
+    return None if any(v is None for v in values) else average(values)
 
 
 class WisebeScore(NamedTuple):

@@ -153,6 +153,41 @@ def test_agreement_subcommand(demo_corpus, tmp_path):
     assert payload["pcc"] == pytest.approx(0.947, abs=0.001)
 
 
+def test_identical_documents_leave_pearson_uncomputed(tmp_path):
+    # two documents with the same (agreement ratio, kappa) give a constant sequence
+    for doc in ("a", "b"):
+        (tmp_path / "corpus" / doc).mkdir(parents=True)
+        for name, text in (("ref_1", "go on. stop."), ("ref_2", "go on stop.")):
+            (tmp_path / "corpus" / doc / f"{name}.txt").write_text(text, encoding="utf-8")
+    code, table = run_cli(["agreement", str(tmp_path / "corpus")], tmp_path)
+    assert code == 0
+    assert b"pearson r: not computed (needs two varying documents)" in table
+    _, data = run_cli(["agreement", str(tmp_path / "corpus")], tmp_path, fmt="json")
+    payload = json.loads(data)
+    assert all(d["kappa"] is not None for d in payload["documents"])
+    assert (payload["pcc"], payload["sample_count"]) == (None, 0)
+
+
+def test_text_and_json_layouts_read_references_in_label_order(tmp_path):
+    # "ref_1-b.txt" sorts before "ref_1.txt", but the label "ref_1" before "ref_1-b"
+    marks = {"ref_1": "one. two three four.", "ref_1-b": "one two. three. four.",
+             "sys_S1": "one two three. four."}
+    (tmp_path / "text" / "a").mkdir(parents=True)
+    for name, text in marks.items():
+        (tmp_path / "text" / "a" / f"{name}.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "json").mkdir()
+    (tmp_path / "json" / "a.json").write_text(json.dumps({
+        "tokens": ["one", "two", "three", "four"],
+        "references": {"ref_1": [0, 3], "ref_1-b": [1, 2, 3]},
+        "systems": {"S1": [2, 3]},
+    }), encoding="utf-8")
+    code, text_layout = run_cli(["eval", str(tmp_path / "text")], tmp_path)
+    assert code == 0
+    code, json_layout = run_cli(["eval", str(tmp_path / "json")], tmp_path)
+    assert code == 0
+    assert text_layout == json_layout
+
+
 def test_score_subcommand(demo_corpus, tmp_path):
     v1 = demo_corpus / "v1"
     code, data = run_cli([

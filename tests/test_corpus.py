@@ -98,7 +98,8 @@ def test_load_document_rejects_token_mismatch(tmp_path):
     })
     with pytest.raises(AlignmentError) as err:
         load_document(load_corpus(tmp_path).documents[0])
-    assert "S1" in str(err.value)
+    assert str(err.value) == ("document 'a': S1 does not align with ref_1: "
+                              "token mismatch at position 1: 'on' != 'away'")
     assert err.value.position == 1
 
 
@@ -124,10 +125,16 @@ def test_load_structured_document(tmp_path):
     ([1, 2], ValueError),
     ({"tokens": ["a", "b"], "references": {"r1": [1.0], "r2": [0]}}, ValueError),
     ({"tokens": ["a", 1], "references": {"r1": [0], "r2": [1]}}, ValueError),
+    # (error, match) pairs also pin the message
+    pytest.param({"tokens": ["a", "b"], "references": [[0], [1]]},
+                 (ValueError, "'references' must be an object"), id="references-list"),
+    pytest.param({"tokens": ["a", "b"], "references": {"r1": [0], "r2": [1]}, "systems": [[0]]},
+                 (ValueError, "'systems' must be an object"), id="systems-list"),
 ])
 def test_load_structured_rejects_malformed_payloads(tmp_path, payload, error):
     (tmp_path / "a.json").write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(error):
+    error, match = error if isinstance(error, tuple) else (error, None)
+    with pytest.raises(error, match=match):
         load_document(load_corpus(tmp_path).documents[0])
 
 

@@ -217,7 +217,8 @@ def test_align_reports_first_difference():
     a = Transcript("d", ("the", "cat", "sat"))
     b = Transcript("d", ("the", "dog", "sat"))
     with pytest.raises(AlignmentError) as err:
-        align([a, b])
+        align(a, b)
+    assert str(err.value) == "token mismatch at position 1: 'cat' != 'dog'"
     assert err.value.position == 1
     assert err.value.left == "cat"
     assert err.value.right == "dog"
@@ -227,7 +228,8 @@ def test_align_reports_length_mismatch():
     a = Transcript("d", ("the", "cat"))
     b = Transcript("d", ("the", "cat", "sat"))
     with pytest.raises(AlignmentError) as err:
-        align([a, b])
+        align(a, b, "second transcript: ")
+    assert str(err.value) == "second transcript: length mismatch: 2 vs 3 tokens"
     assert err.value.position == 2
     assert err.value.left is None
     assert err.value.right == "sat"
@@ -235,7 +237,7 @@ def test_align_reports_length_mismatch():
 
 def test_align_accepts_identical():
     a = Transcript("d", ("one", "two"))
-    assert align([a, Transcript("d", ("one", "two"))]) is a
+    assert align(a, Transcript("d", ("one", "two")), "never shown: ") is None
 
 
 def test_to_segmented_text_requires_alignment_and_real_delimiter():
