@@ -4,12 +4,15 @@ Two on-disk shapes are supported under one corpus root:
 
   <root>/<doc_id>/ref_<name>.txt   punctuated reference transcripts
   <root>/<doc_id>/sys_<name>.txt   punctuated system outputs
-  <root>/<doc_id>.json             pre-tokenized document:
+  <root>/<doc_id>.json             pre-tokenized document, exactly:
       {"tokens": [...],
        "references": {"<name>": [boundary positions]},
-       "systems": {"<name>": [boundary positions]}}
+       "systems": {"<name>": [boundary positions]}}    (optional)
 
-Boundary positions are 0-based token indices, strictly increasing.
+Boundary positions are 0-based token indices, strictly increasing.  Both
+shapes are read as UTF-8, minus a leading byte order mark, and checked by
+the same rules when a document is read: fewer than two references fail
+that document alone.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from operator import attrgetter, lt
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DuplicateLabel, MissingReferences
+from .errors import DuplicateLabel
 from .model import (CANDIDATE, REFERENCE, BoundaryVector, ReferenceSet,
                     Transcript, align, parse_segmented_text)
 
@@ -97,38 +100,26 @@ def _scan_directory(directory: Path, warnings: list[str]) -> DocumentFiles:
 
 
 def load_corpus(root: str | Path) -> CorpusLayout:
-    """Discover every document under a corpus root.
+    """Discover every document under a corpus root, sorted by id.
 
     Nothing is skipped silently: unrecognized entries become warnings,
-    and a directory document with fewer than two references is an error
-    (structured documents are checked when they are read).
+    and a document id given twice (`a/` and `a.json`) is a DuplicateLabel.
+    What a document holds is checked only when `load_document` reads it.
     """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} is not a directory")
     documents: list[DocumentFiles] = []
     warnings: list[str] = []
-    deficient: list[str] = []
     for path, is_dir, is_file in _listing(root):
         if is_dir:
-            files = _scan_directory(path, warnings)
-            if len(files.ref_paths) < 2:
-                deficient.append(f"{files.doc_id} ({len(files.ref_paths)} reference file(s))")
-            documents.append(files)
+            documents.append(_scan_directory(path, warnings))
         elif is_file and path.suffix == STRUCTURED_SUFFIX:
             documents.append(DocumentFiles(path.stem, (), (), structured_path=path))
         else:
             warnings.append(f"{path}: not a document directory or structured document, ignored")
-    seen: set[str] = set()
-    for files in documents:
-        if files.doc_id in seen:
-            raise ValueError(f"duplicate document id {files.doc_id!r} under {root}")
-        seen.add(files.doc_id)
-    if deficient:
-        raise MissingReferences(
-            "documents with fewer than two references: " + ", ".join(deficient)
-        )
-    documents.sort(key=lambda f: f.doc_id)
+    _unique([(files.doc_id, files) for files in documents], f"{root}: document id")
+    documents.sort(key=attrgetter("doc_id"))
     return CorpusLayout(tuple(documents), tuple(warnings))
 
 
@@ -157,14 +148,15 @@ def _unique(pairs, what: str) -> dict:
 
 def _load_structured(path: Path, doc_id: str) -> Document:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"),
+        data = json.loads(_read_text(path),
                           object_pairs_hook=lambda pairs: _unique(pairs, f"{path}: key"))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
+    expected = ["references", "systems", "tokens"]
+    if unknown := sorted(data.keys() - expected):
+        raise ValueError(f"{path}: unknown key {unknown[0]!r}, expected {expected}")
     tokens = data.get("tokens")
     if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
         raise ValueError(f"{path}: 'tokens' must be a list of strings")
@@ -194,12 +186,12 @@ def _load_structured(path: Path, doc_id: str) -> Document:
     return Document(transcript, ReferenceSet(doc_id, refs), cands)
 
 
-def _read_transcript(path: Path) -> str:
-    """The text of a transcript file, minus a leading UTF-8 BOM.
+def _read_text(path: Path) -> str:
+    """The text of a transcript or `.json` document, minus a leading UTF-8 BOM.
 
     One unbuffered binary read, with no newline translation: a carriage
-    return is whitespace to the tokenizer, so translating it would change
-    no token and only cost time.  A decode error names the file.
+    return is whitespace to the tokenizer and to JSON, so translating it
+    would change no token and only cost time.  A decode error names the file.
     """
     with open(path, "rb", buffering=0) as file:
         data = file.readall()
@@ -224,7 +216,7 @@ def load_document(files: DocumentFiles) -> Document:
         # In label order, as a structured document is read; labels are unique.
         for label, path in sorted(entries):
             transcript, vector = parse_segmented_text(
-                _read_transcript(path), files.doc_id, label, origin
+                _read_text(path), files.doc_id, label, origin
             )
             if base is None:
                 base, base_label = transcript, label

@@ -44,8 +44,8 @@ class MissingReferences(WisebeError):
 
 
 class DuplicateLabel(WisebeError):
-    """Two references or two system outputs of one document carry the same
-    label, or a structured document repeats a key in one of its objects."""
+    """Two references or two systems of one document, two documents of one
+    corpus, or two keys of one object in a structured document share a name."""
 
 
 class UnknownFormat(WisebeError):

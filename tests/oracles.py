@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from wisebe.errors import MissingReferences
+from wisebe.errors import DuplicateLabel
 
 
 def windows_by_regex(counts, separation_limit):
@@ -170,7 +170,7 @@ def corpus_by_iterdir(root):
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} is not a directory")
-    documents, warnings, deficient = [], [], []
+    documents, warnings = [], []
     for entry in sorted(root.iterdir(), key=lambda p: p.name):
         if entry.is_dir():
             refs, systems = [], []
@@ -183,21 +183,15 @@ def corpus_by_iterdir(root):
                     systems.append((stem[4:], str(child)))
                 else:
                     warnings.append(f"{child}: not a reference or system file, ignored")
-            if len(refs) < 2:
-                deficient.append(f"{entry.name} ({len(refs)} reference file(s))")
             documents.append((entry.name, tuple(refs), tuple(systems), None))
         elif entry.is_file() and entry.suffix == ".json":
             documents.append((entry.stem, (), (), str(entry)))
         else:
             warnings.append(f"{entry}: not a document directory or structured document, ignored")
-    seen = set()
-    for doc_id, *_ in documents:
-        if doc_id in seen:
-            raise ValueError(f"duplicate document id {doc_id!r} under {root}")
-        seen.add(doc_id)
-    if deficient:
-        raise MissingReferences(
-            "documents with fewer than two references: " + ", ".join(deficient))
+    ids = [doc[0] for doc in documents]
+    for doc_id in ids:
+        if (count := ids.count(doc_id)) > 1:
+            raise DuplicateLabel(f"{root}: document id {doc_id!r} is given {count} times")
     return sorted(documents, key=lambda doc: doc[0]), warnings
 
 

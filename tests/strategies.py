@@ -137,7 +137,7 @@ def _tree_entries(names, contents, subtree):
 @st.composite
 def _document_entries(draw):
     """A document directory's entries; half the time ref_1.txt and
-    ref_2.txt are added as files, so most corpora get past discovery."""
+    ref_2.txt are added as files, so most documents have two references."""
     entries = draw(_tree_entries(CHILD_NAMES, TEXT_CONTENTS, st.just(())))
     if draw(st.booleans()):
         names = {name for name, _, _ in entries}

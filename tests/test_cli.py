@@ -188,6 +188,32 @@ def test_text_and_json_layouts_read_references_in_label_order(tmp_path):
     assert text_layout == json_layout
 
 
+def test_a_one_reference_document_fails_alone_in_both_layouts(tmp_path, capsys):
+    tokens = ["go", "on"]
+    docs = {"a": {"ref_1": [1], "ref_2": [0, 1], "sys_S1": [1]},
+            "b": {"ref_1": [1], "sys_S1": [0, 1]}}
+    (tmp_path / "json").mkdir()
+    for doc_id, marks in docs.items():
+        (tmp_path / "text" / doc_id).mkdir(parents=True)
+        for name, positions in marks.items():
+            text = " ".join(word + "." * (j in positions) for j, word in enumerate(tokens))
+            (tmp_path / "text" / doc_id / f"{name}.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "json" / f"{doc_id}.json").write_text(json.dumps({
+            "tokens": tokens,
+            "references": {name: marks[name] for name in marks if name.startswith("ref_")},
+            "systems": {name[4:]: marks[name] for name in marks if name.startswith("sys_")},
+        }), encoding="utf-8")
+    outcomes = [(*run_cli(["eval", str(tmp_path / layout)], tmp_path, fmt="json"),
+                 capsys.readouterr()) for layout in ("text", "json")]
+    assert outcomes[0] == outcomes[1]
+    code, data, captured = outcomes[0]
+    assert code == 1
+    assert "a" in {row["doc_id"] for row in json.loads(data)}
+    assert json.loads(captured.err) == {"errors": [{
+        "doc_id": "b", "kind": "MissingReferences",
+        "message": "document 'b' has 1 reference(s), need at least 2"}]}
+
+
 def test_score_subcommand(demo_corpus, tmp_path):
     v1 = demo_corpus / "v1"
     code, data = run_cli([

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from wisebe import (AlignmentError, MissingReferences, load_corpus,
-                    load_document)
-from wisebe.corpus import _read_transcript
+from wisebe import (AlignmentError, DuplicateLabel, MissingReferences,
+                    load_corpus, load_document)
+from wisebe.corpus import _read_text
 from wisebe.model import _scan
 from oracles import corpus_by_iterdir
 from strategies import corpus_trees, write_tree
@@ -46,15 +47,17 @@ def test_load_corpus_warns_about_strays_instead_of_skipping_silently(tmp_path):
 
 def test_load_corpus_requires_two_references_per_directory(tmp_path):
     _write_doc(tmp_path, "a", {"ref_1.txt": "go on.", "sys_x.txt": "go on."})
-    with pytest.raises(MissingReferences) as err:
-        load_corpus(tmp_path)
-    assert "a" in str(err.value)
+    [files] = load_corpus(tmp_path).documents
+    with pytest.raises(MissingReferences,
+                       match=r"^document 'a' has 1 reference\(s\), need at least 2$"):
+        load_document(files)
 
 
 def test_load_corpus_rejects_duplicate_doc_ids(tmp_path):
     _write_doc(tmp_path, "a", {"ref_1.txt": "go.", "ref_2.txt": "go."})
     (tmp_path / "a.json").write_text("{}", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(DuplicateLabel, match=f"^{re.escape(str(tmp_path))}: document id 'a' "
+                                             "is given 2 times$"):
         load_corpus(tmp_path)
 
 
@@ -83,8 +86,13 @@ def test_load_document_from_directory(tmp_path):
     assert doc.candidates[0][1].bits == (1, 0, 0, 1)
 
 
-def test_load_document_ignores_a_utf8_byte_order_mark(tmp_path):
-    _write_doc(tmp_path, "a", {"ref_1.txt": "\ufeffGo on. Stop.", "ref_2.txt": "go on stop."})
+@pytest.mark.parametrize("layout", ["text", "json"])
+def test_load_document_ignores_a_utf8_byte_order_mark(tmp_path, layout):
+    if layout == "text":
+        _write_doc(tmp_path, "a", {"ref_1.txt": "\ufeffGo on. Stop.", "ref_2.txt": "go on stop."})
+    else:
+        payload = {"tokens": ["go", "on", "stop"], "references": {"r1": [1, 2], "r2": [2]}}
+        (tmp_path / "a.json").write_text("\ufeff" + json.dumps(payload), encoding="utf-8")
     doc = load_document(load_corpus(tmp_path).documents[0])
     assert doc.transcript.tokens == ("go", "on", "stop")
     assert doc.references.references[0].bits == (0, 1, 1)
@@ -130,6 +138,10 @@ def test_load_structured_document(tmp_path):
                  (ValueError, "'references' must be an object"), id="references-list"),
     pytest.param({"tokens": ["a", "b"], "references": {"r1": [0], "r2": [1]}, "systems": [[0]]},
                  (ValueError, "'systems' must be an object"), id="systems-list"),
+    pytest.param({"tokens": ["a", "b"], "references": {"r1": [0], "r2": [1]}, "system": {}},
+                 (ValueError, r"a\.json: unknown key 'system', "
+                              r"expected \['references', 'systems', 'tokens'\]$"),
+                 id="unknown-key"),
 ])
 def test_load_structured_rejects_malformed_payloads(tmp_path, payload, error):
     (tmp_path / "a.json").write_text(json.dumps(payload), encoding="utf-8")
@@ -185,8 +197,8 @@ def test_binary_read_scans_like_read_text(pieces):
             expected = _scan(path.read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError as exc:
             with pytest.raises(ValueError) as err:
-                _read_transcript(path)
+                _read_text(path)
             assert type(err.value) is ValueError
             assert str(err.value) == f"{path}: {exc}"
         else:
-            assert _scan(_read_transcript(path)) == expected
+            assert _scan(_read_text(path)) == expected

@@ -2,8 +2,11 @@
 
 A drawn corpus is written as text directories and as `.json` documents,
 and `eval` (plain, and with baselines and a consensus threshold) and
-`agreement` are run on it in every format.  The report bytes must not
-depend on the layout or on the order of a document's references.
+`agreement` are run on it in every format.  Some documents have one
+reference, some files start with a byte order mark, and reference labels
+may sort differently as labels and as file names (`ref_1` and `ref_1-b`).
+The exit code, report bytes and stderr must not depend on the layout or
+on the order of a document's references.
 Swapping which segmentation carries which reference label may only
 permute the rows that name a reference.  Adding a system may change no
 other system's rows.
@@ -13,7 +16,9 @@ import csv
 import io
 import json
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
+from typing import NamedTuple
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -27,31 +32,43 @@ COMMANDS = {"eval": ["eval"], "baselines": ["eval", "--baselines", "--threshold"
 SYSTEM_LABELS = "ABC"
 EXTRA_SYSTEM = "Z"
 MAX_N = 70
+BOM = "\ufeff"
 # Table sections whose rows name a reference.
 REFERENCE_SECTIONS = ("== boundary counts ==", "== exact-position scores ==")
 
 
+class Doc(NamedTuple):
+    doc_id: str
+    words: list
+    labels: list    # one per reference, unique
+    refs: list      # bits of each reference
+    systems: list   # bits of each of the first SYSTEM_LABELS
+    order: list     # a permutation of the references
+    more: list      # bits of EXTRA_SYSTEM
+    boms: list      # whether the .json file, then each text file, starts with BOM
+
+
 @st.composite
 def documents(draw, doc_id):
-    """(doc_id, tokens, reference bits, system bits, a permutation of the
-    references, bits of one more system)."""
     n = draw(st.integers(1, MAX_N))
     words = draw(st.lists(tokens(), min_size=n, max_size=n))
-    refs = draw(st.lists(bit_lists(n), min_size=2, max_size=5))
+    refs = draw(st.lists(bit_lists(n), min_size=1, max_size=5))
+    # "-" sorts before the "." of ".txt", so `ref_1-b.txt` lists before `ref_1.txt`.
+    labels = draw(st.lists(st.text(alphabet="1-b", min_size=1, max_size=3),
+                           min_size=len(refs), max_size=len(refs), unique=True))
     systems = draw(st.lists(bit_lists(n), max_size=len(SYSTEM_LABELS)))
     order = draw(st.permutations(range(len(refs))))
-    return doc_id, words, refs, systems, order, draw(bit_lists(n))
+    files = 1 + len(refs) + len(systems)
+    boms = draw(st.lists(st.booleans(), min_size=files, max_size=files))
+    return Doc(doc_id, words, [f"ref_{label}" for label in labels], refs, systems, order,
+               draw(bit_lists(n)), boms)
 
 
 @st.composite
 def corpora(draw):
     count = draw(st.integers(1, 3))
     docs = [draw(documents(f"doc{i}")) for i in range(count)]
-    return docs, draw(st.integers(0, max(len(doc[1]) for doc in docs) + 2))
-
-
-def _ref_label(i):
-    return f"ref_{i + 1}"
+    return docs, draw(st.integers(0, max(len(doc.words) for doc in docs) + 2))
 
 
 def _positions(bits):
@@ -59,14 +76,14 @@ def _positions(bits):
 
 
 def _write_text(root, docs):
-    for doc_id, words, refs, systems, _, _ in docs:
-        folder = root / doc_id
+    for doc in docs:
+        folder = root / doc.doc_id
         folder.mkdir(parents=True)
-        files = [(_ref_label(i), bits) for i, bits in enumerate(refs)]
-        files += [(f"sys_{label}", bits) for label, bits in zip(SYSTEM_LABELS, systems)]
-        for stem, bits in files:
-            text = " ".join(w + "." if bit else w for w, bit in zip(words, bits))
-            (folder / f"{stem}.txt").write_text(text, encoding="utf-8")
+        files = list(zip(doc.labels, doc.refs))
+        files += [(f"sys_{label}", bits) for label, bits in zip(SYSTEM_LABELS, doc.systems)]
+        for (stem, bits), bom in zip(files, doc.boms[1:]):
+            text = " ".join(w + "." if bit else w for w, bit in zip(doc.words, bits))
+            (folder / f"{stem}.txt").write_text(BOM * bom + text, encoding="utf-8")
 
 
 def _write_json(root, docs, ref_order=None, extra=False):
@@ -74,24 +91,29 @@ def _write_json(root, docs, ref_order=None, extra=False):
     reference indices in the order their keys are written."""
     root.mkdir(parents=True)
     for doc in docs:
-        doc_id, words, refs, systems, _, more = doc
-        order = ref_order(doc) if ref_order else range(len(refs))
-        named = dict(zip(SYSTEM_LABELS, systems), **({EXTRA_SYSTEM: more} if extra else {}))
-        payload = {"tokens": words,
-                   "references": {_ref_label(i): _positions(refs[i]) for i in order},
+        order = ref_order(doc) if ref_order else range(len(doc.refs))
+        named = dict(zip(SYSTEM_LABELS, doc.systems))
+        if extra:
+            named[EXTRA_SYSTEM] = doc.more
+        payload = {"tokens": doc.words,
+                   "references": {doc.labels[i]: _positions(doc.refs[i]) for i in order},
                    "systems": {label: _positions(bits) for label, bits in named.items()}}
-        (root / f"{doc_id}.json").write_text(json.dumps(payload), encoding="utf-8")
+        (root / f"{doc.doc_id}.json").write_text(BOM * doc.boms[0] + json.dumps(payload),
+                                                 encoding="utf-8")
 
 
 def _reports(root, limit):
-    """{(command, format): (exit code, report bytes)}."""
+    """{(command, format): (exit code, report bytes, stderr)}; a run that
+    writes no report reads as empty bytes."""
     out = root.parent / f"{root.name}.out"
     reports = {}
     for name, argv in COMMANDS.items():
         options = ["--window-limit", str(limit)] if argv[0] == "eval" else []
         for fmt in FORMATS:
-            code = main([*argv, str(root), "--format", fmt, *options, "--output", str(out)])
-            reports[name, fmt] = code, out.read_bytes()
+            out.unlink(missing_ok=True)
+            with redirect_stderr(io.StringIO()) as err:
+                code = main([*argv, str(root), "--format", fmt, *options, "--output", str(out)])
+            reports[name, fmt] = code, out.read_bytes() if out.exists() else b"", err.getvalue()
     return reports
 
 
@@ -131,18 +153,17 @@ def test_reports_are_invariant_under_layout_order_labels_and_other_systems(corpu
         assert _reports(tmp / "text", limit) == base
 
         # Reference keys written in another order, each with its own marks.
-        _write_json(tmp / "reordered", docs, ref_order=lambda doc: doc[4])
+        _write_json(tmp / "reordered", docs, ref_order=lambda doc: doc.order)
         assert _reports(tmp / "reordered", limit) == base
 
         # Label i now carries the marks of reference order[i].
-        permuted = [(d, w, [refs[j] for j in order], s, order, x)
-                    for d, w, refs, s, order, x in docs]
+        permuted = [doc._replace(refs=[doc.refs[j] for j in doc.order]) for doc in docs]
         _write_json(tmp / "permuted", permuted)
         relabelled = _reports(tmp / "permuted", limit)
-        back = {doc[0]: {_ref_label(i): _ref_label(j) for i, j in enumerate(doc[4])}
+        back = {doc.doc_id: {doc.labels[i]: doc.labels[j] for i, j in enumerate(doc.order)}
                 for doc in docs}
-        for key, (code, report) in relabelled.items():
-            assert code == base[key][0]
+        for key, (code, report, err) in relabelled.items():
+            assert (code, err) == (base[key][0], base[key][2])
             if key[1] == "table" and key[0] != "agreement":
                 assert _relabelled_table(report, back) == _relabelled_table(base[key][1])
             else:
@@ -150,8 +171,8 @@ def test_reports_are_invariant_under_layout_order_labels_and_other_systems(corpu
 
         _write_json(tmp / "extra", docs, extra=True)
         extended = _reports(tmp / "extra", limit)
-        for key, (code, report) in extended.items():
+        for key, (code, report, err) in extended.items():
             if key[0] == "agreement":
-                assert (code, report) == base[key]
+                assert (code, report, err) == base[key]
             elif key[1] != "table":
                 assert _other_rows(report, key[1]) == _other_rows(base[key][1], key[1])

@@ -3,6 +3,7 @@ and every name that code outside the package imports from `wisebe`."""
 
 import ast
 import inspect
+import os
 import shutil
 import subprocess
 import sys
@@ -51,14 +52,22 @@ def test_names_imported_from_outside_resolve(path):
     assert [name for name in names if not hasattr(wisebe, name)] == []
 
 
+def _runs(python, env):
+    return subprocess.run([python, "-c", "pass"], capture_output=True, env=env).returncode == 0
+
+
 def test_goldens_match_on_the_oldest_supported_python():
     """pyproject.toml promises Python >= 3.10; skipped where no working
-    `python3.10` is on PATH."""
-    python = shutil.which("python3.10")
-    if python is None or subprocess.run([python, "-c", "pass"],
-                                        capture_output=True).returncode != 0:
+    `python3.10` is on PATH.  A pyenv shim that fails on its own is run
+    with PYENV_VERSION set to the newest installed 3.10."""
+    python, env, pyenv = shutil.which("python3.10"), dict(os.environ), shutil.which("pyenv")
+    if python and pyenv and not _runs(python, env):
+        latest = subprocess.run([pyenv, "latest", "3.10"], capture_output=True, text=True)
+        if latest.returncode == 0:
+            env["PYENV_VERSION"] = latest.stdout.strip()
+    if python is None or not _runs(python, env):
         pytest.skip("python3.10 is not available")
     run = subprocess.run([python, str(REPO_ROOT / "benchmarks" / "goldens.py")],
-                         capture_output=True, text=True, cwd=REPO_ROOT)
+                         capture_output=True, text=True, cwd=REPO_ROOT, env=env)
     assert run.returncode == 0, run.stdout + run.stderr
     assert "15 of 15 goldens match" in run.stdout
