@@ -44,7 +44,8 @@ class GeneralReference(NamedTuple):
 
     @property
     def pb(self) -> int:
-        return sum(d * h for d, h in enumerate(self.histogram) if d >= 2)
+        sizes = [mask.bit_count() for mask in self.at_least[2:]]
+        return sum(sizes) + sum(sizes[:1])    # d >= 2 votes: in d - 1 masks, plus at_least[2]
 
     @property
     def ha(self) -> int:

@@ -65,7 +65,7 @@ def system_label(stem: str) -> str:
 
 
 def _listing(directory: Path):
-    """Yield (path, is_dir, is_file) for every entry of `directory`,
+    """Yield (name, path, is_dir, is_file) for every entry of `directory`,
     sorted by name, in one scandir pass.
 
     Paths are `directory / name` so they print as pathlib prints them
@@ -76,27 +76,29 @@ def _listing(directory: Path):
     with os.scandir(directory) as scan:
         entries = sorted(scan, key=attrgetter("name"))
     for entry in entries:
-        path = directory / entry.name
+        name = entry.name
+        path = directory / name
         try:
             is_dir, is_file = entry.is_dir(), entry.is_file()
         except OSError:
             is_dir, is_file = path.is_dir(), path.is_file()
-        yield path, is_dir, is_file
+        yield name, path, is_dir, is_file
 
 
-def _scan_directory(directory: Path, warnings: list[str]) -> DocumentFiles:
+def _scan_directory(doc_id: str, directory: Path, warnings: list[str]) -> DocumentFiles:
+    """The files of document `doc_id`, classified by name: `stem` is a text
+    file's stem as Path.stem reads it, and "" for any other entry."""
     refs: list[tuple[str, Path]] = []
     systems: list[tuple[str, Path]] = []
-    for path, _, is_file in _listing(directory):
-        stem = path.stem
-        is_text = is_file and path.suffix == TEXT_SUFFIX
-        if is_text and stem.startswith(REF_PREFIX) and len(stem) > len(REF_PREFIX):
+    for name, path, _, is_file in _listing(directory):
+        stem = name[:-len(TEXT_SUFFIX)] if is_file and name.endswith(TEXT_SUFFIX) else ""
+        if stem.startswith(REF_PREFIX) and len(stem) > len(REF_PREFIX):
             refs.append((stem, path))
-        elif is_text and (label := system_label(stem)):
+        elif label := system_label(stem):
             systems.append((label, path))
         else:
             warnings.append(f"{path}: not a reference or system file, ignored")
-    return DocumentFiles(directory.name, tuple(refs), tuple(systems))
+    return DocumentFiles(doc_id, tuple(refs), tuple(systems))
 
 
 def load_corpus(root: str | Path) -> CorpusLayout:
@@ -111,11 +113,12 @@ def load_corpus(root: str | Path) -> CorpusLayout:
         raise FileNotFoundError(f"corpus root {root} is not a directory")
     documents: list[DocumentFiles] = []
     warnings: list[str] = []
-    for path, is_dir, is_file in _listing(root):
+    for name, path, is_dir, is_file in _listing(root):
         if is_dir:
-            documents.append(_scan_directory(path, warnings))
-        elif is_file and path.suffix == STRUCTURED_SUFFIX:
-            documents.append(DocumentFiles(path.stem, (), (), structured_path=path))
+            documents.append(_scan_directory(name, path, warnings))
+        elif is_file and name.endswith(STRUCTURED_SUFFIX) and name != STRUCTURED_SUFFIX:
+            documents.append(DocumentFiles(name[:-len(STRUCTURED_SUFFIX)], (), (),
+                                           structured_path=path))
         else:
             warnings.append(f"{path}: not a document directory or structured document, ignored")
     _unique([(files.doc_id, files) for files in documents], f"{root}: document id")
@@ -191,14 +194,16 @@ def _read_text(path: Path) -> str:
 
     One unbuffered binary read, with no newline translation: a carriage
     return is whitespace to the tokenizer and to JSON, so translating it
-    would change no token and only cost time.  A decode error names the file.
+    would change no token and only cost time.  A decode error names the
+    file and the offset of the bad byte in it, BOM included.
     """
     with open(path, "rb", buffering=0) as file:
         data = file.readall()
     try:
-        return data.decode("utf-8-sig")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    return text[1:] if text[:1] == "\ufeff" else text
 
 
 def load_document(files: DocumentFiles) -> Document:

@@ -75,17 +75,14 @@ class BoundaryVector(NamedTuple("BoundaryVector", [("doc_id", str), ("origin", s
 
     def __new__(cls, doc_id: str, bits: bytes | Iterable[int],
                 origin: str = REFERENCE, label: str = ""):
-        flags = bits                # bytes skip int() coercion: parser and from_positions
+        flags = bits                # bytes skip int() coercion, as from_positions gives
         if not isinstance(flags, (bytes, bytearray)):
             flags = bytes(b if b in (0, 1) else 2 for b in map(int, flags))
         if flags.translate(None, b"\x00\x01"):
             raise ValueError("boundary bits must be 0 or 1")
         if not flags:
             raise EmptyTranscript(f"boundary vector {label or doc_id!r} has no positions")
-        if origin not in _ORIGINS:
-            raise ValueError(f"origin must be one of {_ORIGINS}, got {origin!r}")
-        return tuple.__new__(cls, (doc_id, origin, label, len(flags),
-                                   int(flags[::-1].translate(_TO_DIGITS), 2)))
+        return _from_flags(cls, doc_id, flags, origin, label)
 
     def __getnewargs__(self):
         # copy and pickle rebuild a vector through __new__, which takes bits.
@@ -127,6 +124,14 @@ class BoundaryVector(NamedTuple("BoundaryVector", [("doc_id", str), ("origin", s
                 raise ValueError(f"boundary position {p} outside 0..{n - 1}")
             flags[p] = 1
         return cls(doc_id, flags, origin, label)
+
+
+def _from_flags(cls, doc_id: str, flags: bytes, origin: str, label: str):
+    """A `cls` vector from non-empty flags, each 0 or 1; checks only the origin."""
+    if origin not in _ORIGINS:
+        raise ValueError(f"origin must be one of {_ORIGINS}, got {origin!r}")
+    return tuple.__new__(cls, (doc_id, origin, label, len(flags),
+                               int(flags[::-1].translate(_TO_DIGITS), 2)))
 
 
 def check_aligned(left, right, what: str, strict_doc_id: bool = False) -> None:
@@ -215,11 +220,14 @@ def parse_segmented_text(raw_text: str, doc_id: str = "", label: str = "",
 
     A unit-final mark (. ? ! ;) closes the unit after the preceding
     token; runs of delimiters collapse into a single boundary.  Commas
-    and colons are removed without effect.
+    and colons are removed without effect.  `_scan` gives no empty token
+    and none holding a unit-final mark, so Transcript's checks are skipped.
     """
     tokens, flags = _scan(raw_text)
-    transcript = Transcript(doc_id, tuple(tokens))
-    return transcript, BoundaryVector(doc_id, flags, origin, label)
+    if not tokens:
+        Transcript(doc_id, ())      # raises EmptyTranscript
+    return (tuple.__new__(Transcript, (doc_id, tuple(tokens))),
+            _from_flags(BoundaryVector, doc_id, flags, origin, label))
 
 
 def to_segmented_text(transcript: Transcript, vector: BoundaryVector) -> str:

@@ -108,7 +108,7 @@ CHILD_NAMES = ("ref_1.txt", "ref_2.txt", "ref_3.txt", "ref_.txt", "sys_.txt",
                ".txt", "ref_1", "ref_4.TXT", "sys_T.json", "notes.txt")
 TEXT_CONTENTS = (b"go on.", b"Go on. yes", b"go on yes.", b"", b"\x00\x01\xff\xfe",
                  b"go \xff on.", b"\xef\xbb\xbfgo on.", b"go\r\non.\r", b"go on\xef\xbb\xbf.",
-                 b"go.on", b"...")
+                 b"go.on", b"...", b"\xef\xbb\xbfgo \xff on.")
 JSON_CONTENTS = (
     b"{", b"[" * 5000, b"[1, 2]", b'"tokens"', b"\xff{}",
     b'{"tokens": ["go", "on"], "references": {"r": [0], "r": [1], "q": [1]}}',

@@ -112,6 +112,10 @@ def test_stray_files_warn_on_stderr(tmp_path, capsys):
 @pytest.mark.parametrize("files, doc_id, bad, offset", [
     ({"c/ref_1.txt": b"go on.", "c/ref_2.txt": b"go \xff on."}, "c", "c/ref_2.txt", 3),
     ({"a.json": b"\xff{}"}, "a", "a.json", 0),
+    # The offset counts the byte order mark: 0xff is byte 6 of the file.
+    # Document a still loads, so c fails alone.
+    ({"a/ref_1.txt": b"go on.", "a/ref_2.txt": b"go. on.",
+      "c/ref_1.txt": b"go on.", "c/ref_2.txt": b"\xef\xbb\xbfgo \xff on."}, "c", "c/ref_2.txt", 6),
 ])
 def test_non_utf8_input_names_the_file(tmp_path, capsys, files, doc_id, bad, offset):
     root = tmp_path / "corpus"

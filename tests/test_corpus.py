@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from wisebe import (AlignmentError, DuplicateLabel, MissingReferences,
@@ -187,14 +187,18 @@ TEXT_BYTES = st.sampled_from([
 
 
 @given(st.lists(TEXT_BYTES, max_size=12))
+@example([b"\xef\xbb\xbf", b"go", b" ", b"\xff", b" ", b"On", b"."])
 def test_binary_read_scans_like_read_text(pieces):
     """Dropping newline translation changes no token and no bit, and a
-    decode error keeps its offset and gains the file name."""
+    decode error keeps the offset of the byte in the file, BOM included,
+    and gains the file name."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ref_1.txt"
         path.write_bytes(b"".join(pieces))
         try:
-            expected = _scan(path.read_text(encoding="utf-8-sig"))
+            text = path.read_bytes().decode("utf-8")
+            text = text[1:] if text.startswith("\ufeff") else text
+            expected = _scan(text.replace("\r\n", "\n").replace("\r", "\n"))
         except UnicodeDecodeError as exc:
             with pytest.raises(ValueError) as err:
                 _read_text(path)

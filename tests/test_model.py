@@ -99,6 +99,28 @@ def test_scan_matches_oracles_on_short_units(raw):
     assert_scan_matches_oracles(raw)
 
 
+def _built(call):
+    """What `call` returns, with the exact type of each part, or the type
+    and message of what it raises."""
+    try:
+        return "ok", [(type(part), part) for part in call()]
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+
+
+@given(st.one_of(st.text(alphabet=SCAN_ALPHABET, max_size=40), st.text()),
+       st.sampled_from((REFERENCE, CANDIDATE, "system")))
+def test_parse_skips_checks_that_scan_output_always_passes(raw, origin):
+    """parse_segmented_text builds its Transcript unchecked, so it must give
+    what the checked constructors give on _scan's output, and raise what
+    they raise: token-free text fails before a bad origin."""
+    def checked():
+        tokens, flags = _scan(raw)
+        return Transcript("d", tokens), BoundaryVector("d", flags, origin, "ref_1")
+    assert (_built(lambda: parse_segmented_text(raw, "d", "ref_1", origin))
+            == _built(checked))
+
+
 @pytest.mark.parametrize("raw, words, bits", [
     ("a . . b", ("a", "b"), (1, 0)),        # a whitespace-only unit marks nothing new
     ("a b.", ("a", "b"), (0, 1)),           # the last token can be marked
