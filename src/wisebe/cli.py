@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when some documents failed to evaluate,
-2 on a corpus-level or usage error.  Failures are written to stderr
-as a JSON object {"errors": [{"doc_id", "kind", "message"}, ...]},
-after ignored corpus entries, if any, as {"warnings": [...]}.
+2 on a corpus-level or usage error (a bad command line is a ValueError).
+Each stderr line is one JSON object: {"errors": [{"doc_id", "kind",
+"message"}, ...]}, after ignored corpus entries, if any, {"warnings": [...]}.
 """
 
 from __future__ import annotations
@@ -22,13 +22,15 @@ from .report import (REPORT_FORMATS, EvalConfig, evaluate_agreement,
                      render_report)
 
 
-def _emit_errors(errors: list[dict]):
-    print(json.dumps({"errors": errors}), file=sys.stderr)
+def _stderr(key: str, items):
+    """Write {key: [items]} as one JSON line, if there are any items."""
+    if items:
+        print(json.dumps({key: list(items)}), file=sys.stderr)
 
 
-def _warn(warnings):
-    if warnings:
-        print(json.dumps({"warnings": list(warnings)}), file=sys.stderr)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _write(data: bytes, output: Path | None):
@@ -52,11 +54,11 @@ def _config(args) -> EvalConfig:
 def _cmd_corpus(args, evaluate, render) -> int:
     """Report on every document under the corpus root; exit 1 if any failed."""
     layout = load_corpus(args.root)
-    _warn(layout.warnings)
+    _stderr("warnings", layout.warnings)
     report = evaluate(layout)
     _write(render(report, args.format), args.output)
     if report.errors:
-        _emit_errors([e._asdict() for e in report.errors])
+        _stderr("errors", [e._asdict() for e in report.errors])
         return 1
     return 0
 
@@ -75,7 +77,7 @@ def _cmd_score(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wisebe",
         description="Evaluate sentence boundary detection against several "
                     "references at once.",
@@ -124,11 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except USER_ERRORS as exc:
-        _emit_errors([{"doc_id": None, "kind": type(exc).__name__, "message": str(exc)}])
+        _stderr("errors", [{"doc_id": None, "kind": type(exc).__name__, "message": str(exc)}])
         return 2
 
 

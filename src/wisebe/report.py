@@ -270,19 +270,11 @@ def _csv(columns, items) -> bytes:
     return _utf8(out.getvalue())
 
 
-def _table(header: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return lines
-
-
 def _section(title: str, header: list[str], rows: list[list[str]]) -> list[str]:
-    return [f"== {title} ==", *_table(header, rows)]
+    """The title line, then the header and rows padded to column width."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return [f"== {title} ==", *("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                               for row in (header, *rows))]
 
 
 def _column_section(title: str, columns, items) -> list[str]:

@@ -73,6 +73,48 @@ def test_negative_window_limit_exits_two(demo_corpus, tmp_path, capsys):
                      "message": "window limit must be >= 0, got -1"}
 
 
+# Command lines that argparse rejects; `--output=PATH` is appended to each,
+# in one word, so the bare `wisebe` case still lacks its subcommand.
+BAD_COMMAND_LINES = {
+    "no subcommand": [],
+    "eval without root": ["eval"],
+    "window limit not an int": ["eval", "{root}", "--window-limit", "x"],
+    "unknown format": ["eval", "{root}", "--format", "xml"],
+    "threshold without value": ["eval", "{root}", "--threshold"],
+    "unknown option": ["eval", "{root}", "--bogus"],
+    "score without --ref": ["score"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_COMMAND_LINES.values(), ids=BAD_COMMAND_LINES.keys())
+def test_bad_command_line_exits_two_with_one_json_line(demo_corpus, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main([*(word.format(root=demo_corpus) for word in argv), f"--output={out}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, out.exists()) == (2, "", False)
+    [line] = captured.err.splitlines()
+    [error] = json.loads(line)["errors"]
+    assert (error["doc_id"], error["kind"]) == (None, "ValueError")
+    assert error["message"].startswith("wisebe")
+
+
+def test_bad_command_line_from_the_shell_is_json():
+    proc = subprocess.run([sys.executable, "-m", "wisebe", "eval"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [json.dumps({"errors": [{
+        "doc_id": None, "kind": "ValueError",
+        "message": "wisebe eval: the following arguments are required: root"}]})]
+
+
+def test_help_still_prints_on_stdout(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "-h"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 0
+    assert captured.out.startswith("usage: wisebe eval") and captured.err == ""
+
+
 def test_missing_root_exits_two(tmp_path, capsys):
     code, _ = run_cli(["eval", str(tmp_path / "nope")], tmp_path)
     assert code == 2
@@ -475,5 +517,27 @@ def test_score_survives_random_files(files, systems):
             else:
                 path.symlink_to("missing" if kind == "dangling" else path.name)
             argv += ["--sys" if 0 < i <= systems else "--ref", str(path)]
+        code, lines = _run_quietly([*argv, "--output", str(Path(tmp) / "out")])
+    _assert_structured_stderr(code, lines)
+
+
+# Words of a command line: every subcommand and option but `-h` and
+# `--output` (each drawn argv ends in its own), good and bad values, and
+# paths in and out of the demo corpus.
+ARGV_WORDS = st.sampled_from([
+    "eval", "agreement", "score", "--format", "--window-limit", "--baselines", "--threshold",
+    "--ref", "--sys", "--doc-id", "--bogus", "x", "-1", "0", "2", "xml", "json", "csv",
+    "{root}", "{root}/v1", "{root}/v1/ref_1.txt", "{root}/v1/ref_2.txt",
+    "{root}/v1/sys_S1.txt", "{root}/v2.json", "{root}/missing",
+])
+
+
+@settings(max_examples=100)
+@given(words=st.lists(ARGV_WORDS, max_size=8))
+def test_cli_survives_random_command_lines(demo_corpus, words):
+    """Any command line, parsed or not, ends in exit 0, 1 or 2 with only
+    JSON lines on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [word.format(root=demo_corpus) for word in words]
         code, lines = _run_quietly([*argv, "--output", str(Path(tmp) / "out")])
     _assert_structured_stderr(code, lines)

@@ -9,7 +9,8 @@ The exit code, report bytes and stderr must not depend on the layout or
 on the order of a document's references.
 Swapping which segmentation carries which reference label may only
 permute the rows that name a reference.  Adding a system may change no
-other system's rows.
+other system's rows.  In process, every value of the report equals its
+exact-fraction recomputation by the independent oracles.
 """
 
 import csv
@@ -17,13 +18,19 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, note, settings
 import hypothesis.strategies as st
 
 from wisebe.cli import main
+from wisebe.corpus import load_corpus
+from wisebe.report import EvalConfig, evaluate_corpus
+from oracles import (agreement_ratio_by_counting, consensus_by_counting,
+                     fleiss_kappa_by_table, lenient_prf_by_sets, strict_prf_by_sets,
+                     windowed_prf_by_membership, windows_by_regex)
 from strategies import bit_lists, tokens
 
 FORMATS = ("table", "json", "csv")
@@ -141,10 +148,14 @@ def _other_rows(report, fmt):
             if row["system"] != EXTRA_SYSTEM]
 
 
-@settings(max_examples=20)
+# Each example runs the CLI up to 45 times, so shrinking a failure took
+# minutes; a failure is reported as drawn.  The exact-value test below
+# draws the same corpora in process and still shrinks.
+@settings(max_examples=20, phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(corpora())
 def test_reports_are_invariant_under_layout_order_labels_and_other_systems(corpus):
     docs, limit = corpus
+    note(f"docs={docs!r}, limit={limit}")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         _write_json(tmp / "json", docs)
@@ -176,3 +187,102 @@ def test_reports_are_invariant_under_layout_order_labels_and_other_systems(corpu
                 assert (code, report, err) == base[key]
             elif key[1] != "table":
                 assert _other_rows(report, key[1]) == _other_rows(base[key][1], key[1])
+
+
+# SystemRow values that are means, products or harmonic means of exact
+# ratios, so they may differ from their exact value by rounding.
+ROUNDED = ("mean.precision", "mean.recall", "mean.f1", "score.f1_rw", "score.wisebe",
+           "kappa", "mean_ser", "lenient.precision", "lenient.recall", "lenient.f1",
+           "consensus.precision", "consensus.recall", "consensus.f1")
+# Values that are one ratio of two counts, so exactly their float.
+RATIOS = ("score.precision_rw", "score.recall_rw", "score.agreement_ratio")
+
+
+def _get(row, path):
+    for attr in path.split("."):
+        row = getattr(row, attr)
+    return row
+
+
+def _f1(precision, recall):
+    return 2 * precision * recall / (precision + recall) if precision + recall else Fraction(0)
+
+
+def _mean(values):
+    return None if None in values else sum(values) / len(values)
+
+
+def _oracle_rows(doc, limit):
+    """The oracles' values for a document's rows: {system: ({reference
+    label: strict (tp, fp, fn, P, R, F1)}, {value path: Fraction or None})}."""
+    refs = [_positions(bits) for bits in doc.refs]
+    _, _, ar = agreement_ratio_by_counting(doc.refs)
+    windows = windows_by_regex([sum(votes) for votes in zip(*doc.refs)], limit)
+    consensus = consensus_by_counting(doc.refs, 2)
+    rows = {}
+    for system, bits in zip(SYSTEM_LABELS, doc.systems):
+        cand = _positions(bits)
+        strict = {label: strict_prf_by_sets(cand, ref) for label, ref in zip(doc.labels, refs)}
+        precision_rw, recall_rw = windowed_prf_by_membership(cand, windows)
+        f1_rw = _f1(precision_rw, recall_rw)
+        values = {"score.precision_rw": precision_rw, "score.recall_rw": recall_rw,
+                  "score.f1_rw": f1_rw, "score.agreement_ratio": ar, "score.wisebe": f1_rw * ar,
+                  "kappa": fleiss_kappa_by_table(doc.refs),
+                  "mean_ser": _mean([Fraction(fp + fn, tp + fn) if tp + fn else None
+                                     for tp, fp, fn, *_ in strict.values()])}
+        lenient = lenient_prf_by_sets(cand, refs)
+        voted = strict_prf_by_sets(cand, consensus)
+        for k, name in enumerate(("precision", "recall", "f1"), 3):
+            values[f"mean.{name}"] = _mean([prf[k] for prf in strict.values()])
+            values[f"lenient.{name}"] = lenient[k]
+            values[f"consensus.{name}"] = voted[k]
+        rows[system] = strict, values
+    return rows
+
+
+def _assert_close(actual, expected):
+    if expected is None:
+        assert actual is None
+    else:
+        assert abs(actual - float(expected)) <= 1e-12, (actual, expected)
+
+
+@settings(max_examples=20)
+@given(corpora())
+def test_report_values_equal_exact_fractions(corpus):
+    docs, limit = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_json(Path(tmp) / "json", docs)
+        report = evaluate_corpus(load_corpus(Path(tmp) / "json"),
+                                 EvalConfig(window_limit=limit, baselines=True,
+                                            consensus_threshold=2))
+    # Documents with one reference or no reference boundary fail on purpose.
+    failing = {doc.doc_id: "MissingReferences" if len(doc.refs) < 2 else "NoBoundaries"
+               for doc in docs if len(doc.refs) < 2 or not any(map(any, doc.refs))}
+    assert {e.doc_id: e.kind for e in report.errors} == failing
+    scored = [doc for doc in docs if doc.doc_id not in failing]
+    assert [d.doc_id for d in report.documents] == [doc.doc_id for doc in scored]
+    rows = {(row.doc_id, row.system): row for row in report.rows}
+    by_system = {}
+    for doc, summary in zip(scored, report.documents):
+        assert summary.agreement_ratio == float(agreement_ratio_by_counting(doc.refs)[2])
+        _assert_close(summary.kappa, fleiss_kappa_by_table(doc.refs))
+        expected_rows = _oracle_rows(doc, limit)
+        assert {system for d, system in rows if d == doc.doc_id} == set(expected_rows)
+        for system, (strict, values) in expected_rows.items():
+            row = rows[doc.doc_id, system]
+            assert {label for label, _ in row.per_reference} == set(strict)
+            for label, prf in row.per_reference:
+                tp, fp, fn, precision, recall, f1 = strict[label]
+                assert prf[3:] == (tp, fp, fn)
+                assert prf[:2] == (float(precision), float(recall))
+                _assert_close(prf.f1, f1)
+            for path in RATIOS:
+                assert _get(row, path) == float(values[path]), path
+            for path in ROUNDED:
+                _assert_close(_get(row, path), values[path])
+            by_system.setdefault(system, []).append(values)
+    assert [row.system for row in report.aggregates] == sorted(by_system)
+    for row in report.aggregates:
+        for path in (*RATIOS, *ROUNDED):
+            _assert_close(_get(row, path), _mean([v[path] for v in by_system[row.system]]))
