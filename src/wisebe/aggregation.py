@@ -25,7 +25,7 @@ class GeneralReference(NamedTuple):
 
     pb counts every vote on positions marked by at least two references;
     ha is the vote total if all m references had agreed on every position
-    anyone marked.  ar = pb / ha, in [0, 1].
+    anyone marked.  ar = pb / ha, in [0, 1]; NoBoundaries when ha is 0.
     """
 
     doc_id: str
@@ -53,6 +53,8 @@ class GeneralReference(NamedTuple):
 
     @property
     def ar(self) -> float:
+        if not self.ha:
+            raise NoBoundaries(f"no reference marks any boundary in {self.doc_id!r}")
         return self.pb / self.ha
 
     @property
@@ -75,7 +77,7 @@ class GeneralReference(NamedTuple):
         return tuple(map(sum, zip(bytes(self.n), *levels)))
 
 
-def vote_profile(refs: ReferenceSet) -> GeneralReference:
+def build_general_reference(refs: ReferenceSet) -> GeneralReference:
     """The vote profile of a reference set, even one that marks nothing."""
     at_least = [(1 << refs.n) - 1] + [0] * refs.m
     for ref in refs.references:
@@ -84,13 +86,6 @@ def vote_profile(refs: ReferenceSet) -> GeneralReference:
         for d in range(refs.m, 0, -1):
             at_least[d] |= at_least[d - 1] & ref.mask
     return GeneralReference(refs.doc_id, refs.n, tuple(at_least))
-
-
-def build_general_reference(refs: ReferenceSet) -> GeneralReference:
-    general = vote_profile(refs)
-    if not general.at_least[1]:
-        raise NoBoundaries(f"no reference marks any boundary in {refs.doc_id!r}")
-    return general
 
 
 class WindowReference(NamedTuple):

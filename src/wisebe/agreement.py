@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import fsum, sqrt
 from typing import NamedTuple, Sequence
 
-from .aggregation import vote_profile
+from .aggregation import build_general_reference
 from .errors import ConstantSequence, DegenerateAgreement
 from .model import ReferenceSet
 from .scoring import arithmetic_mean
@@ -20,7 +20,7 @@ def fleiss_kappa(refs: ReferenceSet) -> float:
     """Fleiss' kappa treating every token as an item rated boundary / not
     (GeneralReference.kappa); DegenerateAgreement rather than a NaN where
     the pooled boundary share is 0 or 1."""
-    kappa = vote_profile(refs).kappa
+    kappa = build_general_reference(refs).kappa
     if kappa is None:
         raise DegenerateAgreement(
             f"references for {refs.doc_id!r} use a single category everywhere"

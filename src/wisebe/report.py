@@ -86,6 +86,8 @@ def evaluate_document(doc: Document,
     """Score every candidate of one loaded document against one vote
     profile and one window reference."""
     refs = doc.references.references
+    if MEAN_ROW_ID in (doc.doc_id, *(ref.label for ref in refs)):
+        raise ValueError(f"document {doc.doc_id!r}: {MEAN_ROW_ID!r} names the mean rows")
     general, summary, candidates = _summarize(doc)
     consensus = (consensus_reference(general, config.consensus_threshold)
                  if config.consensus_threshold is not None else None)

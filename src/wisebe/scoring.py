@@ -84,5 +84,5 @@ def wisebe_score(cand: BoundaryVector, refs: ReferenceSet,
                  separation_limit: int = DEFAULT_WINDOW_LIMIT) -> WisebeScore:
     """Score a candidate against several references at once."""
     check_aligned(cand, refs, "candidate vs references")
-    general = build_general_reference(refs)
-    return window_score(cand, build_window_reference(general, separation_limit), general.ar)
+    ar = (general := build_general_reference(refs)).ar    # NoBoundaries before a bad limit
+    return window_score(cand, build_window_reference(general, separation_limit), ar)

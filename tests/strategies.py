@@ -62,7 +62,7 @@ def scoring_instances(draw, **kwargs):
 EDGE_SIZES = (1, 29, 30, 31, 59, 60, 61, 64, 65)
 
 
-def _sparse_bits(draw, n):
+def sparse_bits(draw, n):
     """n bits at density 1/2 to 1/16, from a drawn seed: integers drawn
     whole shrink towards few low bits and leave the high digits empty."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -78,7 +78,7 @@ def wide_reference_sets(draw, min_m=2, max_m=5, max_n=300):
     sizes; some reference often marks the first or the last position."""
     n = draw(st.one_of(st.sampled_from(EDGE_SIZES), st.integers(1, max_n)))
     m = draw(st.integers(min_m, max_m))
-    rows = [_sparse_bits(draw, n) for _ in range(m)]
+    rows = [sparse_bits(draw, n) for _ in range(m)]
     for end in (0, n - 1):
         if draw(st.booleans()):
             rows[draw(st.integers(0, m - 1))][end] = 1
@@ -94,7 +94,7 @@ def wide_reference_sets(draw, min_m=2, max_m=5, max_n=300):
 def wide_scoring_instances(draw, **kwargs):
     """A wide reference set plus an aligned candidate vector."""
     refs = draw(wide_reference_sets(**kwargs))
-    bits = _sparse_bits(draw, refs.n)
+    bits = sparse_bits(draw, refs.n)
     return refs, BoundaryVector("doc", tuple(bits), CANDIDATE, "sys")
 
 

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from wisebe import (BadThreshold, BoundaryVector, GeneralReference,
-                    NoBoundaries, ReferenceSet, build_general_reference,
-                    build_window_reference)
-from wisebe.aggregation import consensus_reference, vote_profile
+from wisebe import (CANDIDATE, BadThreshold, BoundaryVector, DegenerateAgreement,
+                    GeneralReference, NoBoundaries, ReferenceSet,
+                    build_general_reference, build_window_reference, fleiss_kappa)
+from wisebe.aggregation import consensus_reference
+from wisebe.baselines import lenient_prf
 from wisebe.model import mask_flags
 from oracles import agreement_ratio_by_counting, windows_by_regex
 from strategies import reference_sets
@@ -41,8 +42,28 @@ def test_general_reference_identical_references_reach_one():
 
 
 def test_general_reference_requires_some_boundary():
-    with pytest.raises(NoBoundaries):
-        build_general_reference(_refs((0, 0, 0), (0, 0, 0)))
+    general = build_general_reference(_refs((0, 0, 0), (0, 0, 0)))
+    with pytest.raises(NoBoundaries, match=r"^no reference marks any boundary in 'd'$"):
+        general.ar
+
+
+@given(st.integers(1, 70), st.integers(2, 5))
+def test_empty_profile_is_read_by_every_other_reader(n, m):
+    refs = _refs(*[(0,) * n] * m)
+    general = build_general_reference(refs)
+    assert type(general) is GeneralReference
+    assert (general.pb, general.ha, general.kappa) == (0, 0, None)
+    assert general.histogram == [n] + [0] * m
+    # Only the agreement ratio is undefined; no reader divides by zero.
+    for name, attr in vars(GeneralReference).items():
+        if isinstance(attr, property) and name != "ar":
+            getattr(general, name)
+    with pytest.raises(DegenerateAgreement):
+        fleiss_kappa(refs)
+    cand = BoundaryVector("d", (1,) + (0,) * (n - 1), CANDIDATE, "sys")
+    assert lenient_prf(cand, general)[3:] == (0, 1, 0)
+    assert [consensus_reference(general, k) for k in range(1, m + 1)] == [0] * m
+    assert build_window_reference(general).p == 0
 
 
 def test_window_grouping_respects_gap_limit():
@@ -94,7 +115,7 @@ def test_agreement_ratio_matches_counting_oracle(refs):
 
 
 def test_consensus_thresholds():
-    general = vote_profile(_refs((1, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 1)))
+    general = build_general_reference(_refs((1, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 1)))
     assert mask_flags(consensus_reference(general, 1), 4) == bytes((1, 0, 1, 1))
     assert mask_flags(consensus_reference(general, 2), 4) == bytes((1, 0, 0, 1))
     assert mask_flags(consensus_reference(general, 3), 4) == bytes((1, 0, 0, 0))
@@ -106,4 +127,4 @@ def test_consensus_thresholds():
 def test_consensus_rejects_bad_threshold(threshold):
     refs = _refs((1, 0), (0, 1), (1, 1))
     with pytest.raises(BadThreshold):
-        consensus_reference(vote_profile(refs), threshold)
+        consensus_reference(build_general_reference(refs), threshold)

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given
 
 from wisebe import (CANDIDATE, AlignmentError, BoundaryVector, ReferenceSet,
-                    strict_prf)
-from wisebe.aggregation import vote_profile
+                    build_general_reference, strict_prf)
 from wisebe.baselines import lenient_prf, mean_prf, mean_ser, slot_error_rate
 from oracles import strict_prf_by_sets
 from strategies import scoring_instances
@@ -104,7 +103,7 @@ def test_mean_ser_matches_per_reference_ser_and_is_none_when_undefined():
 def test_lenient_prf_union_and_intersection():
     refs = _refs((0, 1, 0, 0, 0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 1, 0, 0))
     cand = _vec(0, 1, 0, 0, 0, 1, 0, 0, 0, 1)
-    prf = lenient_prf(cand, vote_profile(refs))
+    prf = lenient_prf(cand, build_general_reference(refs))
     assert (prf.tp, prf.fp, prf.fn) == (2, 1, 0)
     assert prf.precision == pytest.approx(2 / 3)
     assert prf.recall == 1.0
@@ -113,14 +112,14 @@ def test_lenient_prf_union_and_intersection():
 def test_lenient_prf_misses_only_unanimous_boundaries():
     refs = _refs((1, 0, 0, 1), (1, 0, 0, 0))
     silent = _vec(0, 0, 0, 0)
-    prf = lenient_prf(silent, vote_profile(refs))
+    prf = lenient_prf(silent, build_general_reference(refs))
     assert (prf.tp, prf.fp, prf.fn) == (0, 0, 1)
 
 
 @given(scoring_instances())
 def test_lenient_never_scores_below_strict(instance):
     refs, cand = instance
-    lenient = lenient_prf(cand, vote_profile(refs))
+    lenient = lenient_prf(cand, build_general_reference(refs))
     for ref in refs.references:
         strict = strict_prf(cand, ref)
         assert lenient.precision >= strict.precision - 1e-15

@@ -260,6 +260,86 @@ def test_a_one_reference_document_fails_alone_in_both_layouts(tmp_path, capsys):
         "message": "document 'b' has 1 reference(s), need at least 2"}]}
 
 
+def _both_layouts(tmp_path, docs, tokens=("go", "on", "now")):
+    """`docs` ({doc id: {file stem: marked positions}}) written as text
+    directories under tmp_path/text and as `.json` documents under
+    tmp_path/json; returns the two roots."""
+    (tmp_path / "json").mkdir()
+    for doc_id, marks in docs.items():
+        (tmp_path / "text" / doc_id).mkdir(parents=True)
+        for name, positions in marks.items():
+            text = " ".join(word + "." * (j in positions) for j, word in enumerate(tokens))
+            (tmp_path / "text" / doc_id / f"{name}.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "json" / f"{doc_id}.json").write_text(json.dumps({
+            "tokens": tokens,
+            "references": {name: marks[name] for name in marks if name.startswith("ref_")},
+            "systems": {name[4:]: marks[name] for name in marks if name.startswith("sys_")},
+        }), encoding="utf-8")
+    return tmp_path / "text", tmp_path / "json"
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["eval", "--baselines", "--threshold", "2"],
+                                  ["agreement"]], ids=["eval", "baselines", "agreement"])
+def test_a_document_without_reference_boundaries_fails_alone(tmp_path, capsys, argv):
+    roots = _both_layouts(tmp_path, {"a": {"ref_1": [0, 2], "ref_2": [2], "sys_S": [2]},
+                                     "b": {"ref_1": [], "ref_2": [], "sys_S": [1]}})
+    outcomes = [(*run_cli([*argv, str(root)], tmp_path, fmt="json"), capsys.readouterr())
+                for root in roots]
+    assert outcomes[0] == outcomes[1]
+    code, data, captured = outcomes[0]
+    assert code == 1
+    report = json.loads(data)
+    scored = {row["doc_id"] for row in (report["documents"] if argv[0] == "agreement" else report)}
+    assert "a" in scored and "b" not in scored
+    assert json.loads(captured.err) == {"errors": [{
+        "doc_id": "b", "kind": "NoBoundaries",
+        "message": "no reference marks any boundary in 'b'"}]}
+
+
+def test_a_document_named_mean_fails_alone_in_eval_only(tmp_path, capsys):
+    marks = {"ref_1": [0, 2], "ref_2": [2], "sys_S": [2]}
+    for root in _both_layouts(tmp_path, {"mean": marks, "v3": marks}):
+        code, data = run_cli(["eval", str(root)], tmp_path, fmt="json")
+        assert code == 1
+        assert [(row["doc_id"], row["system"]) for row in json.loads(data)] == [
+            ("v3", "S"), ("mean", "S")]
+        assert json.loads(capsys.readouterr().err) == {"errors": [{
+            "doc_id": "mean", "kind": "ValueError",
+            "message": "document 'mean': 'mean' names the mean rows"}]}
+        # The agreement report has no mean rows, so the name is free there.
+        code, data = run_cli(["agreement", str(root)], tmp_path, fmt="json")
+        assert code == 0
+        assert [d["doc_id"] for d in json.loads(data)["documents"]] == ["mean", "v3"]
+
+
+def test_a_reference_named_mean_fails_its_document(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    for doc_id, label in (("a", "mean"), ("b", "ref_2")):
+        (root / f"{doc_id}.json").write_text(json.dumps({
+            "tokens": ["go", "on"], "references": {"ref_1": [1], label: [0, 1]},
+            "systems": {"S": [1]}}), encoding="utf-8")
+    code, data = run_cli(["eval", str(root)], tmp_path, fmt="json")
+    assert code == 1
+    assert [row["doc_id"] for row in json.loads(data)] == ["b", "mean"]
+    assert json.loads(capsys.readouterr().err) == {"errors": [{
+        "doc_id": "a", "kind": "ValueError",
+        "message": "document 'a': 'mean' names the mean rows"}]}
+
+
+@pytest.mark.parametrize("stem, doc_id", [("ref_2", "mean"), ("mean", "doc")])
+def test_score_rejects_the_mean_row_name(tmp_path, capsys, stem, doc_id):
+    for name, text in (("ref_1", "go on."), (stem, "go. on."), ("sys_S", "go on.")):
+        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+    code, data = run_cli(
+        ["score", "--ref", str(tmp_path / "ref_1.txt"), "--ref", str(tmp_path / f"{stem}.txt"),
+         "--sys", str(tmp_path / "sys_S.txt"), "--doc-id", doc_id], tmp_path)
+    assert (code, data) == (2, b"")
+    assert json.loads(capsys.readouterr().err) == {"errors": [{
+        "doc_id": None, "kind": "ValueError",
+        "message": f"document {doc_id!r}: 'mean' names the mean rows"}]}
+
+
 def test_score_subcommand(demo_corpus, tmp_path):
     v1 = demo_corpus / "v1"
     code, data = run_cli([

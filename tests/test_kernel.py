@@ -14,7 +14,7 @@ from wisebe import (BoundaryVector, Document, EvalConfig, build_general_referenc
                     build_window_reference, evaluate_corpus, evaluate_document,
                     fleiss_kappa, load_corpus, strict_prf, windowed_precision,
                     windowed_recall)
-from wisebe.aggregation import consensus_reference, vote_profile
+from wisebe.aggregation import consensus_reference
 from wisebe.baselines import lenient_prf
 from wisebe.errors import DegenerateAgreement
 from wisebe.model import Transcript, mask_flags
@@ -66,7 +66,7 @@ def test_kernel_matches_oracles_across_digits(instance, data):
 @given(wide_scoring_instances())
 def test_lenient_prf_matches_set_oracle(instance):
     refs, cand = instance
-    prf = lenient_prf(cand, vote_profile(refs))
+    prf = lenient_prf(cand, build_general_reference(refs))
     tp, fp, fn, precision, recall, f1 = lenient_prf_by_sets(
         cand.positions, [ref.positions for ref in refs.references])
     assert (prf.tp, prf.fp, prf.fn) == (tp, fp, fn)
@@ -97,7 +97,7 @@ def test_boundary_vector_bits_round_trip_through_the_mask(instance):
 @given(wide_reference_sets(), st.data())
 def test_consensus_matches_counting_oracle(refs, data):
     threshold = data.draw(st.integers(1, refs.m))
-    consensus = consensus_reference(vote_profile(refs), threshold)
+    consensus = consensus_reference(build_general_reference(refs), threshold)
     flags = mask_flags(consensus, refs.n)
     assert tuple(j for j, flag in enumerate(flags) if flag) == consensus_by_counting(
         _rows(refs), threshold)
@@ -118,8 +118,7 @@ def test_report_kappa_matches_textbook_oracle(refs):
 # Functions that fuse the references of a document or read a built vote
 # profile, by module.
 VOTE_BUILDERS = {
-    "aggregation": ("vote_profile", "build_general_reference", "build_window_reference",
-                    "consensus_reference"),
+    "aggregation": ("build_general_reference", "build_window_reference", "consensus_reference"),
     "agreement": ("fleiss_kappa",),
     "baselines": ("lenient_prf",),
     "scoring": ("wisebe_score",),
@@ -152,6 +151,5 @@ def test_evaluate_corpus_builds_one_vote_profile_per_document(demo_corpus, monke
     assert len(report.rows) > docs
     # One profile and one window reference per document; lenient and
     # consensus read that profile, fleiss_kappa and wisebe_score are unused.
-    assert calls == Counter(vote_profile=docs, build_general_reference=docs,
-                            build_window_reference=docs, consensus_reference=docs,
-                            lenient_prf=len(report.rows))
+    assert calls == Counter(build_general_reference=docs, build_window_reference=docs,
+                            consensus_reference=docs, lenient_prf=len(report.rows))

@@ -10,7 +10,6 @@ from wisebe import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
                     to_segmented_text, windowed_precision,
                     build_general_reference, build_window_reference,
                     wisebe_score)
-from wisebe.aggregation import vote_profile
 from wisebe.baselines import lenient_prf
 from wisebe.model import _scan, align
 from oracles import scan_by_characters, scan_by_regex, transcript_error_by_tokens
@@ -223,7 +222,7 @@ def test_alignment_check_matches_empty_doc_ids_unless_strict():
     anonymous = BoundaryVector("", (1, 0), CANDIDATE)
     # scoring lets a candidate without a doc id stand for any document
     strict_prf(anonymous, refs.references[0])
-    lenient_prf(anonymous, vote_profile(refs))
+    lenient_prf(anonymous, build_general_reference(refs))
     windowed_precision(anonymous, windows)
     wisebe_score(anonymous, refs)
     # a reference set takes only references of its own document

@@ -1,9 +1,12 @@
 """The exported names: every error type, a sorted and small `__all__`,
-and every name that code outside the package imports from `wisebe`."""
+every name that code outside the package imports from `wisebe`, and
+every name and count that the README gives."""
 
 import ast
 import inspect
 import os
+import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -50,6 +53,19 @@ def test_names_imported_from_outside_resolve(path):
     names = _names_imported_from_wisebe(REPO_ROOT / path)
     assert names
     assert [name for name in names if not hasattr(wisebe, name)] == []
+
+
+README = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("dotted", sorted(set(re.findall(r"`(wisebe(?:\.\w+)+)", README))))
+def test_names_in_the_readme_resolve(dotted):
+    pkgutil.resolve_name(dotted)
+
+
+def test_readme_counts_the_exported_names():
+    assert re.findall(r"`wisebe\.__all__` holds (\d+) names", README) == [
+        str(len(wisebe.__all__))]
 
 
 def _runs(python, env):

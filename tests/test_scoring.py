@@ -79,6 +79,12 @@ def test_recall_needs_a_window():
     assert windowed_precision(_cand(1, 0, 0, 0), empty) == 0.0
 
 
+def test_score_without_reference_boundaries_raises_before_the_limit_is_read():
+    silent = _refs((0, 0, 0), (0, 0, 0))
+    with pytest.raises(NoBoundaries, match=r"^no reference marks any boundary in 'd'$"):
+        wisebe_score(_cand(1, 0, 0), silent, -1)
+
+
 def test_score_rejects_misaligned_candidate():
     with pytest.raises(AlignmentError):
         wisebe_score(_cand(1, 0), REFS)
