@@ -1,4 +1,4 @@
-"""Command line front end.
+"""Command line front end; `score` is `eval` over the one document its files make up.
 
 Exit codes: 0 on success, 1 when some documents failed to evaluate,
 2 on a corpus-level or usage error (a bad command line is a ValueError).
@@ -15,11 +15,10 @@ from functools import partial
 from pathlib import Path
 
 from .aggregation import DEFAULT_WINDOW_LIMIT
-from .corpus import DocumentFiles, load_corpus, load_document, system_label
-from .errors import USER_ERRORS
+from .corpus import load_corpus, named_files
+from .errors import USER_ERRORS, BadThreshold
 from .report import (REPORT_FORMATS, EvalConfig, evaluate_agreement,
-                     evaluate_corpus, evaluate_single, render_agreement,
-                     render_report)
+                     evaluate_corpus, render_agreement, render_report)
 
 
 def _stderr(key: str, items):
@@ -44,16 +43,14 @@ def _write(data: bytes, output: Path | None):
 def _config(args) -> EvalConfig:
     if args.window_limit < 0:
         raise ValueError(f"window limit must be >= 0, got {args.window_limit}")
-    return EvalConfig(
-        window_limit=args.window_limit,
-        baselines=args.baselines,
-        consensus_threshold=args.threshold,
-    )
+    if args.threshold is not None and args.threshold < 1:
+        raise BadThreshold(f"threshold must be >= 1, got {args.threshold}")
+    return EvalConfig(window_limit=args.window_limit, baselines=args.baselines,
+                      consensus_threshold=args.threshold)
 
 
-def _cmd_corpus(args, evaluate, render) -> int:
-    """Report on every document under the corpus root; exit 1 if any failed."""
-    layout = load_corpus(args.root)
+def _cmd_corpus(args, evaluate, render, layout) -> int:
+    """Report on every document of the layout; exit 1 if any failed."""
     _stderr("warnings", layout.warnings)
     report = evaluate(layout)
     _write(render(report, args.format), args.output)
@@ -63,17 +60,10 @@ def _cmd_corpus(args, evaluate, render) -> int:
     return 0
 
 
-def _cmd_score(args) -> int:
-    config = _config(args)
-    files = DocumentFiles(
-        args.doc_id,
-        tuple((path.stem, path) for path in args.ref_files),
-        tuple((system_label(path.stem) or path.stem, path) for path in args.system_files or ()),
-    )
-    doc = load_document(files)
-    report = evaluate_single(doc, config)
-    _write(render_report(report, args.format), args.output)
-    return 0
+def _scored(layout_of):
+    """The command that scores the documents of `layout_of(args)`."""
+    return lambda args: _cmd_corpus(args, partial(evaluate_corpus, config=_config(args)),
+                                    render_report, layout_of(args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,14 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", parents=[common, scoring],
                             help="evaluate every document under a corpus root")
     p_eval.add_argument("root", type=Path, help="corpus root directory")
-    p_eval.set_defaults(func=lambda args: _cmd_corpus(
-        args, partial(evaluate_corpus, config=_config(args)), render_report))
+    p_eval.set_defaults(func=_scored(lambda args: load_corpus(args.root)))
 
     p_agree = sub.add_parser("agreement", parents=[common],
                              help="reference agreement measures only")
     p_agree.add_argument("root", type=Path, help="corpus root directory")
     p_agree.set_defaults(func=lambda args: _cmd_corpus(
-        args, evaluate_agreement, render_agreement))
+        args, evaluate_agreement, render_agreement, load_corpus(args.root)))
 
     p_score = sub.add_parser("score", parents=[common, scoring],
                              help="score one document given explicit files")
@@ -120,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--sys", dest="system_files", action="append", type=Path,
                          metavar="PATH", help="system output (repeatable)")
     p_score.add_argument("--doc-id", default="doc", help="document id for the report")
-    p_score.set_defaults(func=_cmd_score)
+    p_score.set_defaults(func=_scored(
+        lambda args: named_files(args.doc_id, args.ref_files, args.system_files or ())))
 
     return parser
 

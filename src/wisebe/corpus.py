@@ -59,9 +59,17 @@ class Document(NamedTuple):
         return self.transcript.doc_id
 
 
-def system_label(stem: str) -> str:
+def _system_label(stem: str) -> str:
     """The label of a system file named `sys_<label>`; "" for any other stem."""
     return stem[len(SYS_PREFIX):] if stem.startswith(SYS_PREFIX) else ""
+
+
+def named_files(doc_id: str, ref_paths, sys_paths) -> CorpusLayout:
+    """The one-document layout of the given file Paths: a reference is
+    labelled by its stem, a system by its stem minus any `sys_`."""
+    refs = tuple((path.stem, path) for path in ref_paths)
+    systems = tuple((_system_label(path.stem) or path.stem, path) for path in sys_paths)
+    return CorpusLayout((DocumentFiles(doc_id, refs, systems),))
 
 
 def _listing(directory: Path):
@@ -94,7 +102,7 @@ def _scan_directory(doc_id: str, directory: Path, warnings: list[str]) -> Docume
         stem = name[:-len(TEXT_SUFFIX)] if is_file and name.endswith(TEXT_SUFFIX) else ""
         if stem.startswith(REF_PREFIX) and len(stem) > len(REF_PREFIX):
             refs.append((stem, path))
-        elif label := system_label(stem):
+        elif label := _system_label(stem):
             systems.append((label, path))
         else:
             warnings.append(f"{path}: not a reference or system file, ignored")

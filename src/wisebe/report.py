@@ -164,11 +164,6 @@ def evaluate_corpus(layout: CorpusLayout,
     return _report(*_each_document(layout, lambda doc: evaluate_document(doc, config)))
 
 
-def evaluate_single(doc: Document, config: EvalConfig = EvalConfig()) -> EvaluationReport:
-    """Report for one already-loaded document (no cross-document correlation)."""
-    return _report([evaluate_document(doc, config)])
-
-
 def evaluate_agreement(layout: CorpusLayout) -> EvaluationReport:
     """Reference-only pass: agreement ratio and kappa per document, no rows."""
     return _report(*_each_document(layout, lambda doc: (_summarize(doc)[1], ())))

@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 
 import wisebe
 from wisebe.cli import main
+from wisebe.report import DocumentError, EvaluationReport, render_report
 from strategies import TEXT_CONTENTS, corpus_trees, write_tree
 
 
@@ -65,12 +66,17 @@ def test_environment_does_not_change_the_report(demo_corpus, tmp_path, monkeypat
     assert with_env == default
 
 
-def test_negative_window_limit_exits_two(demo_corpus, tmp_path, capsys):
-    code, _ = run_cli(["eval", str(demo_corpus), "--window-limit", "-1"], tmp_path)
+@pytest.mark.parametrize("option, value, kind, message", [
+    ("--window-limit", "-1", "ValueError", "window limit must be >= 0, got -1"),
+    # No document can accept it, so it fails once, not once per document.
+    ("--threshold", "0", "BadThreshold", "threshold must be >= 1, got 0"),
+], ids=["window-limit", "threshold"])
+def test_option_out_of_range_exits_two(demo_corpus, tmp_path, capsys, option, value, kind,
+                                       message):
+    code, _ = run_cli(["eval", str(demo_corpus), option, value], tmp_path)
     assert code == 2
     [error] = json.loads(capsys.readouterr().err)["errors"]
-    assert error == {"doc_id": None, "kind": "ValueError",
-                     "message": "window limit must be >= 0, got -1"}
+    assert error == {"doc_id": None, "kind": kind, "message": message}
 
 
 # Command lines that argparse rejects; `--output=PATH` is appended to each,
@@ -214,52 +220,6 @@ def test_identical_documents_leave_pearson_uncomputed(tmp_path):
     assert (payload["pcc"], payload["sample_count"]) == (None, 0)
 
 
-def test_text_and_json_layouts_read_references_in_label_order(tmp_path):
-    # "ref_1-b.txt" sorts before "ref_1.txt", but the label "ref_1" before "ref_1-b"
-    marks = {"ref_1": "one. two three four.", "ref_1-b": "one two. three. four.",
-             "sys_S1": "one two three. four."}
-    (tmp_path / "text" / "a").mkdir(parents=True)
-    for name, text in marks.items():
-        (tmp_path / "text" / "a" / f"{name}.txt").write_text(text, encoding="utf-8")
-    (tmp_path / "json").mkdir()
-    (tmp_path / "json" / "a.json").write_text(json.dumps({
-        "tokens": ["one", "two", "three", "four"],
-        "references": {"ref_1": [0, 3], "ref_1-b": [1, 2, 3]},
-        "systems": {"S1": [2, 3]},
-    }), encoding="utf-8")
-    code, text_layout = run_cli(["eval", str(tmp_path / "text")], tmp_path)
-    assert code == 0
-    code, json_layout = run_cli(["eval", str(tmp_path / "json")], tmp_path)
-    assert code == 0
-    assert text_layout == json_layout
-
-
-def test_a_one_reference_document_fails_alone_in_both_layouts(tmp_path, capsys):
-    tokens = ["go", "on"]
-    docs = {"a": {"ref_1": [1], "ref_2": [0, 1], "sys_S1": [1]},
-            "b": {"ref_1": [1], "sys_S1": [0, 1]}}
-    (tmp_path / "json").mkdir()
-    for doc_id, marks in docs.items():
-        (tmp_path / "text" / doc_id).mkdir(parents=True)
-        for name, positions in marks.items():
-            text = " ".join(word + "." * (j in positions) for j, word in enumerate(tokens))
-            (tmp_path / "text" / doc_id / f"{name}.txt").write_text(text, encoding="utf-8")
-        (tmp_path / "json" / f"{doc_id}.json").write_text(json.dumps({
-            "tokens": tokens,
-            "references": {name: marks[name] for name in marks if name.startswith("ref_")},
-            "systems": {name[4:]: marks[name] for name in marks if name.startswith("sys_")},
-        }), encoding="utf-8")
-    outcomes = [(*run_cli(["eval", str(tmp_path / layout)], tmp_path, fmt="json"),
-                 capsys.readouterr()) for layout in ("text", "json")]
-    assert outcomes[0] == outcomes[1]
-    code, data, captured = outcomes[0]
-    assert code == 1
-    assert "a" in {row["doc_id"] for row in json.loads(data)}
-    assert json.loads(captured.err) == {"errors": [{
-        "doc_id": "b", "kind": "MissingReferences",
-        "message": "document 'b' has 1 reference(s), need at least 2"}]}
-
-
 def _both_layouts(tmp_path, docs, tokens=("go", "on", "now")):
     """`docs` ({doc id: {file stem: marked positions}}) written as text
     directories under tmp_path/text and as `.json` documents under
@@ -276,6 +236,32 @@ def _both_layouts(tmp_path, docs, tokens=("go", "on", "now")):
             "systems": {name[4:]: marks[name] for name in marks if name.startswith("sys_")},
         }), encoding="utf-8")
     return tmp_path / "text", tmp_path / "json"
+
+
+def test_text_and_json_layouts_read_references_in_label_order(tmp_path):
+    # "ref_1-b.txt" sorts before "ref_1.txt", but the label "ref_1" before "ref_1-b"
+    roots = _both_layouts(tmp_path, {"a": {"ref_1": [0, 3], "ref_1-b": [1, 2, 3],
+                                           "sys_S1": [2, 3]}},
+                          tokens=("one", "two", "three", "four"))
+    code, text_layout = run_cli(["eval", str(roots[0])], tmp_path)
+    assert code == 0
+    code, json_layout = run_cli(["eval", str(roots[1])], tmp_path)
+    assert code == 0
+    assert text_layout == json_layout
+
+
+def test_a_one_reference_document_fails_alone_in_both_layouts(tmp_path, capsys):
+    roots = _both_layouts(tmp_path, {"a": {"ref_1": [1], "ref_2": [0, 1], "sys_S1": [1]},
+                                     "b": {"ref_1": [1], "sys_S1": [0, 1]}}, tokens=("go", "on"))
+    outcomes = [(*run_cli(["eval", str(root)], tmp_path, fmt="json"), capsys.readouterr())
+                for root in roots]
+    assert outcomes[0] == outcomes[1]
+    code, data, captured = outcomes[0]
+    assert code == 1
+    assert "a" in {row["doc_id"] for row in json.loads(data)}
+    assert json.loads(captured.err) == {"errors": [{
+        "doc_id": "b", "kind": "MissingReferences",
+        "message": "document 'b' has 1 reference(s), need at least 2"}]}
 
 
 @pytest.mark.parametrize("argv", [["eval"], ["eval", "--baselines", "--threshold", "2"],
@@ -327,6 +313,11 @@ def test_a_reference_named_mean_fails_its_document(tmp_path, capsys):
         "message": "document 'a': 'mean' names the mean rows"}]}
 
 
+def _error_table(error):
+    """The table report of a run whose one document failed with `error`."""
+    return render_report(EvaluationReport((), (), (), None, (DocumentError(**error),)))
+
+
 @pytest.mark.parametrize("stem, doc_id", [("ref_2", "mean"), ("mean", "doc")])
 def test_score_rejects_the_mean_row_name(tmp_path, capsys, stem, doc_id):
     for name, text in (("ref_1", "go on."), (stem, "go. on."), ("sys_S", "go on.")):
@@ -334,10 +325,10 @@ def test_score_rejects_the_mean_row_name(tmp_path, capsys, stem, doc_id):
     code, data = run_cli(
         ["score", "--ref", str(tmp_path / "ref_1.txt"), "--ref", str(tmp_path / f"{stem}.txt"),
          "--sys", str(tmp_path / "sys_S.txt"), "--doc-id", doc_id], tmp_path)
-    assert (code, data) == (2, b"")
-    assert json.loads(capsys.readouterr().err) == {"errors": [{
-        "doc_id": None, "kind": "ValueError",
-        "message": f"document {doc_id!r}: 'mean' names the mean rows"}]}
+    error = {"doc_id": doc_id, "kind": "ValueError",
+             "message": f"document {doc_id!r}: 'mean' names the mean rows"}
+    assert (code, data) == (1, _error_table(error))
+    assert json.loads(capsys.readouterr().err) == {"errors": [error]}
 
 
 def test_score_subcommand(demo_corpus, tmp_path):
@@ -355,11 +346,12 @@ def test_score_subcommand(demo_corpus, tmp_path):
 
 
 def test_score_needs_two_references(demo_corpus, tmp_path, capsys):
-    code, _ = run_cli(
+    code, data = run_cli(
         ["score", "--ref", str(demo_corpus / "v1" / "ref_1.txt")], tmp_path)
-    assert code == 2
+    assert code == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload["errors"][0]["kind"] == "MissingReferences"
+    assert data == _error_table(payload["errors"][0])
 
 
 def test_score_rejects_duplicate_system_labels(tmp_path, capsys):
@@ -372,8 +364,9 @@ def test_score_rejects_duplicate_system_labels(tmp_path, capsys):
         ["score", "--ref", str(tmp_path / "ref_1.txt"), "--ref", str(tmp_path / "ref_2.txt"),
          "--sys", str(tmp_path / "a" / "sys_S1.txt"), "--sys", str(tmp_path / "b" / "sys_S1.txt")],
         tmp_path)
-    assert (code, data) == (2, b"")
     [error] = json.loads(capsys.readouterr().err)["errors"]
+    assert (code, data) == (1, _error_table(error))
+    assert error["doc_id"] == "doc"
     assert error["kind"] == "DuplicateLabel"
     assert "'S1'" in error["message"]
 
@@ -385,8 +378,9 @@ def test_score_rejects_duplicate_reference_labels(tmp_path, capsys):
          "--ref", str(tmp_path / "b" / "ref_1.txt"), "--sys", str(tmp_path / "sys_S.txt"),
          "--baselines"],
         tmp_path)
-    assert (code, data) == (2, b"")
     [error] = json.loads(capsys.readouterr().err)["errors"]
+    assert (code, data) == (1, _error_table(error))
+    assert error["doc_id"] == "doc"
     assert error["kind"] == "DuplicateLabel"
     assert "reference label 'ref_1'" in error["message"]
 

@@ -1,12 +1,13 @@
 """The exported names: every error type, a sorted and small `__all__`,
 every name that code outside the package imports from `wisebe`, and
-every name and count that the README gives."""
+every name, count and command line that the README gives."""
 
 import ast
 import inspect
 import os
 import pkgutil
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 import wisebe
 from conftest import REPO_ROOT
 from wisebe import errors
+from wisebe.cli import build_parser
 
 MAX_EXPORTS = 40
 
@@ -66,6 +68,16 @@ def test_names_in_the_readme_resolve(dotted):
 def test_readme_counts_the_exported_names():
     assert re.findall(r"`wisebe\.__all__` holds (\d+) names", README) == [
         str(len(wisebe.__all__))]
+
+
+def test_readme_command_lines_parse():
+    [block] = re.findall(r"^## CLI\n\n```sh\n(.*?)```", README, re.S | re.M)
+    lines = block.splitlines()
+    assert lines
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        assert words[0] == "wisebe", line
+        build_parser().parse_args(words[1:])
 
 
 def _runs(python, env):

@@ -8,7 +8,7 @@ from wisebe import (REPORT_FIELDS, Document, EvalConfig, UnknownFormat,
                     evaluate_agreement, evaluate_corpus, evaluate_document,
                     load_corpus, load_document, render_agreement,
                     render_report)
-from wisebe.report import EvaluationReport, evaluate_single
+from wisebe.report import EvaluationReport
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +125,8 @@ def test_document_failures_are_collected_not_fatal(tmp_path):
 
 def test_evaluate_single_document(demo_corpus):
     layout = load_corpus(demo_corpus)
-    doc = load_document(layout.documents[0])
-    report = evaluate_single(doc, EvalConfig(window_limit=3))
+    one = layout._replace(documents=layout.documents[:1])
+    report = evaluate_corpus(one, EvalConfig(window_limit=3))
     assert len(report.documents) == 1
     assert report.correlation is None
     assert {a.system for a in report.aggregates} == {"S1", "S2"}
