@@ -48,7 +48,8 @@ class CorpusLayout(NamedTuple):
 
 
 class Document(NamedTuple):
-    """One fully loaded, alignment-checked document."""
+    """One document, scored in the order it holds its segmentations.
+    load_document checks alignment; each metric checks the vectors it compares."""
 
     transcript: Transcript
     references: ReferenceSet

@@ -69,38 +69,36 @@ class EvaluationReport(NamedTuple):
     errors: tuple[DocumentError, ...] = ()
 
 
-def _summarize(doc: Document) -> tuple[GeneralReference, DocumentSummary, list]:
-    """A document's vote profile, its summary, and its candidates by name."""
+def _summarize(doc: Document) -> tuple[GeneralReference, DocumentSummary]:
+    """A document's vote profile and its summary."""
     general = build_general_reference(doc.references)
-    candidates = sorted(doc.candidates, key=lambda item: item[0])
-    summary = DocumentSummary(
+    return general, DocumentSummary(
         doc.doc_id, general.ar, general.kappa,
         tuple((ref.label, ref.boundary_count) for ref in doc.references.references),
-        tuple((name, cand.boundary_count) for name, cand in candidates),
+        tuple((name, cand.boundary_count) for name, cand in doc.candidates),
     )
-    return general, summary, candidates
 
 
 def evaluate_document(doc: Document,
                       config: EvalConfig = EvalConfig()) -> tuple[DocumentSummary, list[SystemRow]]:
-    """Score every candidate of one loaded document against one vote
-    profile and one window reference."""
+    """Score every candidate of one document, in the document's order,
+    against one vote profile and one window reference."""
     refs = doc.references.references
     if MEAN_ROW_ID in (doc.doc_id, *(ref.label for ref in refs)):
         raise ValueError(f"document {doc.doc_id!r}: {MEAN_ROW_ID!r} names the mean rows")
-    general, summary, candidates = _summarize(doc)
+    general, summary = _summarize(doc)
     consensus = (consensus_reference(general, config.consensus_threshold)
                  if config.consensus_threshold is not None else None)
     windows = build_window_reference(general, config.window_limit)
     rows = []
-    for name, cand in candidates:
+    for name, cand in doc.candidates:
         scores = [strict_prf(cand, ref) for ref in refs]
         rows.append(SystemRow(
             doc_id=doc.doc_id,
             system=name,
             per_reference=tuple(zip((ref.label for ref in refs), scores)),
             mean=mean_prf(scores),
-            score=window_score(cand, windows, general.ar),
+            score=window_score(cand, windows, summary.agreement_ratio),
             kappa=summary.kappa,
             mean_ser=mean_ser(scores) if config.baselines else None,
             lenient=lenient_prf(cand, general) if config.baselines else None,

@@ -9,6 +9,18 @@ from wisebe import CANDIDATE, REFERENCE, BoundaryVector, ReferenceSet
 TOKEN_ALPHABET = "abcdefghijklmnopqrstuvwxyz'-"
 
 
+def vector(*bits, origin=CANDIDATE, label="sys"):
+    """A vector of document "d"; by default the candidate "sys"."""
+    return BoundaryVector("d", bits, origin, label)
+
+
+def reference_set(*rows):
+    """The references ref_1, ref_2, ... of document "d", one per row of bits."""
+    return ReferenceSet("d", tuple(
+        vector(*row, origin=REFERENCE, label=f"ref_{i + 1}") for i, row in enumerate(rows)
+    ))
+
+
 def bit_lists(n):
     return st.lists(st.integers(0, 1), min_size=n, max_size=n)
 

@@ -4,20 +4,13 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from wisebe import (CANDIDATE, BadThreshold, BoundaryVector, DegenerateAgreement,
-                    GeneralReference, NoBoundaries, ReferenceSet,
+from wisebe import (BadThreshold, DegenerateAgreement, GeneralReference, NoBoundaries,
                     build_general_reference, build_window_reference, fleiss_kappa)
 from wisebe.aggregation import consensus_reference
 from wisebe.baselines import lenient_prf
 from wisebe.model import mask_flags
 from oracles import agreement_ratio_by_counting, windows_by_regex
-from strategies import reference_sets
-
-
-def _refs(*rows):
-    return ReferenceSet("d", tuple(
-        BoundaryVector("d", row, label=f"ref_{i + 1}") for i, row in enumerate(rows)
-    ))
+from strategies import reference_set, reference_sets, vector
 
 
 def _profile(counts, m):
@@ -27,7 +20,7 @@ def _profile(counts, m):
 
 
 def test_general_reference_counts_votes():
-    general = build_general_reference(_refs((1, 0, 1, 1), (1, 0, 1, 0), (1, 0, 0, 0)))
+    general = build_general_reference(reference_set((1, 0, 1, 1), (1, 0, 1, 0), (1, 0, 0, 0)))
     assert general.counts == (3, 0, 2, 1)
     assert general.at_least[1] == 0b1101        # voted positions 0, 2 and 3
     # position 3 has a single vote: it widens ha but adds nothing to pb
@@ -37,19 +30,19 @@ def test_general_reference_counts_votes():
 
 
 def test_general_reference_identical_references_reach_one():
-    general = build_general_reference(_refs((0, 1, 0, 1), (0, 1, 0, 1)))
+    general = build_general_reference(reference_set((0, 1, 0, 1), (0, 1, 0, 1)))
     assert general.ar == 1.0
 
 
 def test_general_reference_requires_some_boundary():
-    general = build_general_reference(_refs((0, 0, 0), (0, 0, 0)))
+    general = build_general_reference(reference_set((0, 0, 0), (0, 0, 0)))
     with pytest.raises(NoBoundaries, match=r"^no reference marks any boundary in 'd'$"):
         general.ar
 
 
 @given(st.integers(1, 70), st.integers(2, 5))
 def test_empty_profile_is_read_by_every_other_reader(n, m):
-    refs = _refs(*[(0,) * n] * m)
+    refs = reference_set(*[(0,) * n] * m)
     general = build_general_reference(refs)
     assert type(general) is GeneralReference
     assert (general.pb, general.ha, general.kappa) == (0, 0, None)
@@ -60,7 +53,7 @@ def test_empty_profile_is_read_by_every_other_reader(n, m):
             getattr(general, name)
     with pytest.raises(DegenerateAgreement):
         fleiss_kappa(refs)
-    cand = BoundaryVector("d", (1,) + (0,) * (n - 1), CANDIDATE, "sys")
+    cand = vector(1, *(0,) * (n - 1))
     assert lenient_prf(cand, general)[3:] == (0, 1, 0)
     assert [consensus_reference(general, k) for k in range(1, m + 1)] == [0] * m
     assert build_window_reference(general).p == 0
@@ -115,7 +108,7 @@ def test_agreement_ratio_matches_counting_oracle(refs):
 
 
 def test_consensus_thresholds():
-    general = build_general_reference(_refs((1, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 1)))
+    general = build_general_reference(reference_set((1, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 1)))
     assert mask_flags(consensus_reference(general, 1), 4) == bytes((1, 0, 1, 1))
     assert mask_flags(consensus_reference(general, 2), 4) == bytes((1, 0, 0, 1))
     assert mask_flags(consensus_reference(general, 3), 4) == bytes((1, 0, 0, 0))
@@ -125,6 +118,6 @@ def test_consensus_thresholds():
 
 @pytest.mark.parametrize("threshold", [0, 4, -1])
 def test_consensus_rejects_bad_threshold(threshold):
-    refs = _refs((1, 0), (0, 1), (1, 1))
+    refs = reference_set((1, 0), (0, 1), (1, 1))
     with pytest.raises(BadThreshold):
         consensus_reference(build_general_reference(refs), threshold)

@@ -5,37 +5,30 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from wisebe import (BoundaryVector, ConstantSequence, DegenerateAgreement,
-                    ReferenceSet, build_general_reference, fleiss_kappa,
-                    pearson)
+from wisebe import (ConstantSequence, DegenerateAgreement, build_general_reference,
+                    fleiss_kappa, pearson)
 from oracles import fleiss_kappa_by_table, pearson_by_moments
-from strategies import reference_sets
-
-
-def _refs(*rows):
-    return ReferenceSet("d", tuple(
-        BoundaryVector("d", row, label=f"ref_{i + 1}") for i, row in enumerate(rows)
-    ))
+from strategies import reference_set, reference_sets
 
 
 def test_kappa_hand_computed_value():
     # votes per position: 3, 0, 2, 1 -> kappa works out to exactly 1/3
-    refs = _refs((1, 0, 1, 1), (1, 0, 1, 0), (1, 0, 0, 0))
+    refs = reference_set((1, 0, 1, 1), (1, 0, 1, 0), (1, 0, 0, 0))
     assert fleiss_kappa(refs) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_kappa_perfect_agreement():
-    assert fleiss_kappa(_refs((1, 0), (1, 0))) == pytest.approx(1.0)
+    assert fleiss_kappa(reference_set((1, 0), (1, 0))) == pytest.approx(1.0)
 
 
 def test_kappa_perfect_disagreement_is_negative():
-    assert fleiss_kappa(_refs((1, 0), (0, 1))) == pytest.approx(-1.0)
+    assert fleiss_kappa(reference_set((1, 0), (0, 1))) == pytest.approx(-1.0)
 
 
 @pytest.mark.parametrize("rows", [((0, 0, 0), (0, 0, 0)), ((1, 1, 1), (1, 1, 1))])
 def test_kappa_degenerate_single_category(rows):
     with pytest.raises(DegenerateAgreement):
-        fleiss_kappa(_refs(*rows))
+        fleiss_kappa(reference_set(*rows))
 
 
 @given(reference_sets())
@@ -49,7 +42,7 @@ def test_kappa_matches_textbook_oracle(refs):
 
 
 def test_general_reference_bundles_ratio_and_kappa():
-    refs = _refs((1, 0, 1, 1), (1, 0, 1, 0), (1, 0, 0, 0))
+    refs = reference_set((1, 0, 1, 1), (1, 0, 1, 0), (1, 0, 0, 0))
     general = build_general_reference(refs)
     assert general.doc_id == "d"
     assert general.ar == pytest.approx(5 / 9)

@@ -35,8 +35,8 @@ from wisebe.cli import main
 from wisebe.corpus import load_corpus, load_document
 from wisebe.report import EvalConfig, evaluate_agreement, evaluate_corpus
 from oracles import (agreement_ratio_by_counting, consensus_by_counting,
-                     fleiss_kappa_by_table, lenient_prf_by_sets, strict_prf_by_sets,
-                     windowed_prf_by_membership, windows_by_regex)
+                     fleiss_kappa_by_table, lenient_prf_by_sets, pearson_by_moments,
+                     strict_prf_by_sets, windowed_prf_by_membership, windows_by_regex)
 from strategies import TOKEN_ALPHABET, sparse_bits
 
 FORMATS = ("table", "json", "csv")
@@ -67,7 +67,7 @@ class Doc(NamedTuple):
     words: list
     labels: list    # one per reference, unique
     refs: list      # bits of each reference
-    systems: list   # bits of each of the first SYSTEM_LABELS
+    systems: dict   # bits by label, for any of SYSTEM_LABELS in drawn order
     order: list     # a permutation of the references
     more: list      # bits of EXTRA_SYSTEM
     boms: list      # whether the .json file, then each text file, starts with BOM
@@ -89,7 +89,8 @@ def documents(draw, doc_id):
     # "-" sorts before the "." of ".txt", so `ref_1-b.txt` lists before `ref_1.txt`.
     labels = draw(st.lists(st.text(alphabet="1-b", min_size=1, max_size=3),
                            min_size=len(refs), max_size=len(refs), unique=True))
-    systems = [sparse_bits(draw, n) for _ in range(draw(st.integers(0, len(SYSTEM_LABELS))))]
+    systems = {label: sparse_bits(draw, n)
+               for label in draw(st.lists(st.sampled_from(SYSTEM_LABELS), unique=True))}
     order = draw(st.permutations(range(len(refs))))
     files = 1 + len(refs) + len(systems)
     boms = draw(st.lists(st.booleans(), min_size=files, max_size=files))
@@ -113,7 +114,7 @@ def _write_text(root, docs):
         folder = root / doc.doc_id
         folder.mkdir(parents=True)
         files = list(zip(doc.labels, doc.refs))
-        files += [(f"sys_{label}", bits) for label, bits in zip(SYSTEM_LABELS, doc.systems)]
+        files += [(f"sys_{label}", bits) for label, bits in doc.systems.items()]
         for (stem, bits), bom in zip(files, doc.boms[1:]):
             text = " ".join(w + "." if bit else w for w, bit in zip(doc.words, bits))
             (folder / f"{stem}.txt").write_text(BOM * bom + text, encoding="utf-8")
@@ -125,7 +126,7 @@ def _write_json(root, docs, ref_order=None, extra=False):
     root.mkdir(parents=True)
     for doc in docs:
         order = ref_order(doc) if ref_order else range(len(doc.refs))
-        named = dict(zip(SYSTEM_LABELS, doc.systems))
+        named = dict(doc.systems)
         if extra:
             named[EXTRA_SYSTEM] = doc.more
         payload = {"tokens": doc.words,
@@ -251,7 +252,7 @@ def _oracle_rows(doc, limit):
     windows = windows_by_regex([sum(votes) for votes in zip(*doc.refs)], limit)
     consensus = consensus_by_counting(doc.refs, 2)
     rows = {}
-    for system, bits in zip(SYSTEM_LABELS, doc.systems):
+    for system, bits in doc.systems.items():
         cand = _positions(bits)
         strict = {label: strict_prf_by_sets(cand, ref) for label, ref in zip(doc.labels, refs)}
         precision_rw, recall_rw = windowed_prf_by_membership(cand, windows)
@@ -317,6 +318,15 @@ def test_report_values_equal_exact_fractions(corpus):
     for row in report.aggregates:
         for path in (*RATIOS, *ROUNDED):
             _assert_close(_get(row, path), _mean([v[path] for v in by_system[row.system]]))
+    # Pearson's r of (agreement ratio, kappa) over the documents with a kappa.
+    pairs = [(agreement_ratio_by_counting(doc.refs)[2], kappa) for doc in scored
+             if (kappa := fleiss_kappa_by_table(doc.refs)) is not None]
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    if len(set(xs)) < 2 or len(set(ys)) < 2:
+        assert report.correlation is None
+    else:
+        assert report.correlation.sample_count == len(xs)
+        _assert_close(report.correlation.pcc, pearson_by_moments(xs, ys))
 
 
 def _renamed(report, back):
@@ -359,7 +369,7 @@ def test_score_is_eval_over_the_one_document_of_its_files(doc, misaligned):
         root = Path(tmp) / "corpus"
         _write_text(root, [doc])
         folder = root / doc.doc_id
-        systems = [folder / f"sys_{label}.txt" for label in SYSTEM_LABELS[:len(doc.systems)]]
+        systems = [folder / f"sys_{label}.txt" for label in doc.systems]
         if misaligned:
             systems.append(folder / f"sys_{EXTRA_SYSTEM}.txt")
             systems[-1].write_text(" ".join(doc.words) + " extra.", encoding="utf-8")
@@ -391,11 +401,10 @@ def test_windows_at_limit_zero_are_the_voted_positions(corpus):
     scored = {doc_id for doc_id, doc in docs.items()
               if len(doc.refs) > 1 and any(map(any, doc.refs))}
     assert {(row.doc_id, row.system) for row in report.rows} == {
-        (doc_id, label) for doc_id in scored
-        for label in SYSTEM_LABELS[:len(docs[doc_id].systems)]}
+        (doc_id, label) for doc_id in scored for label in docs[doc_id].systems}
     for row in report.rows:
         doc = docs[row.doc_id]
         voted = [any(votes) for votes in zip(*doc.refs)]
-        marks = _positions(doc.systems[SYSTEM_LABELS.index(row.system)])
+        marks = _positions(doc.systems[row.system])
         share = Fraction(sum(voted[j] for j in marks), len(marks)) if marks else Fraction(0)
         assert row.score.precision_rw == float(share)

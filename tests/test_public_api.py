@@ -70,6 +70,12 @@ def test_readme_counts_the_exported_names():
         str(len(wisebe.__all__))]
 
 
+def test_readme_lists_exactly_the_exported_names():
+    [listing] = re.findall(r"^## Library API\n(.*?)^The exact-position baselines", README,
+                           re.S | re.M)
+    assert set(re.findall(r"`(\w+)`", listing)) == set(wisebe.__all__)
+
+
 def test_readme_command_lines_parse():
     [block] = re.findall(r"^## CLI\n\n```sh\n(.*?)```", README, re.S | re.M)
     lines = block.splitlines()

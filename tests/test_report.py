@@ -132,15 +132,15 @@ def test_evaluate_single_document(demo_corpus):
     assert {a.system for a in report.aggregates} == {"S1", "S2"}
 
 
-def test_candidates_sort_by_name_only(demo_corpus):
-    # two systems may share a label when a Document is built directly;
-    # their vectors must never be compared to break the tie
+def test_rows_keep_the_documents_order(demo_corpus):
+    # a Document built directly, two of its systems sharing a label, is
+    # scored in the order it holds them
     doc = load_document(load_corpus(demo_corpus).documents[0])
     (_, first), (_, second) = doc.candidates[:2]
     twins = Document(doc.transcript, doc.references, (("S", second), ("S", first), ("R", first)))
     _, rows = evaluate_document(twins)
-    assert [row.system for row in rows] == ["R", "S", "S"]
-    assert rows[1].score == evaluate_document(Document(
+    assert [row.system for row in rows] == ["S", "S", "R"]
+    assert rows[0].score == evaluate_document(Document(
         doc.transcript, doc.references, (("S", second),)))[1][0].score
 
 

@@ -5,27 +5,17 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from wisebe import (CANDIDATE, AlignmentError, BoundaryVector, NoBoundaries,
-                    ReferenceSet, WindowReference, build_general_reference,
+                    WindowReference, build_general_reference,
                     build_window_reference, combine_score, harmonic_f1,
                     windowed_precision, windowed_recall, wisebe_score)
 from wisebe.scoring import arithmetic_mean
 from oracles import windowed_prf_by_membership
-from strategies import scoring_instances
-
-
-def _refs(*rows):
-    return ReferenceSet("d", tuple(
-        BoundaryVector("d", row, label=f"ref_{i + 1}") for i, row in enumerate(rows)
-    ))
-
-
-def _cand(*bits):
-    return BoundaryVector("d", bits, CANDIDATE, "sys")
+from strategies import reference_set, scoring_instances, vector
 
 
 # Three references over 12 tokens: votes at 3 (one), 4 (two), 11 (all).
 # With limit 2 that yields windows (3, 4) and (11,), ar = 5/9.
-REFS = _refs(
+REFS = reference_set(
     (0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1),
     (0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
     (0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
@@ -39,7 +29,7 @@ def test_harmonic_f1():
 
 
 def test_exact_hit_in_both_windows():
-    score = wisebe_score(_cand(0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), REFS)
+    score = wisebe_score(vector(0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), REFS)
     assert score.precision_rw == 1.0
     assert score.recall_rw == 1.0
     assert score.f1_rw == 1.0
@@ -48,7 +38,7 @@ def test_exact_hit_in_both_windows():
 
 
 def test_miss_one_window():
-    score = wisebe_score(_cand(0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1), REFS)
+    score = wisebe_score(vector(0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1), REFS)
     assert score.precision_rw == 0.5
     assert score.recall_rw == 0.5
     assert score.f1_rw == 0.5
@@ -56,16 +46,16 @@ def test_miss_one_window():
 
 
 def test_position_between_votes_counts_as_inside():
-    general = build_general_reference(_refs((1, 0, 0, 1, 0), (1, 0, 0, 1, 0)))
+    general = build_general_reference(reference_set((1, 0, 0, 1, 0), (1, 0, 0, 1, 0)))
     windows = build_window_reference(general, 2)
     assert windows.spans == ((0, 3),)
-    cand = _cand(0, 1, 0, 0, 0)
+    cand = vector(0, 1, 0, 0, 0)
     assert windowed_precision(cand, windows) == 1.0
     assert windowed_recall(cand, windows) == 1.0
 
 
 def test_empty_candidate_scores_zero():
-    score = wisebe_score(_cand(*([0] * 12)), REFS)
+    score = wisebe_score(vector(*([0] * 12)), REFS)
     assert score.precision_rw == 0.0
     assert score.recall_rw == 0.0
     assert score.f1_rw == 0.0
@@ -75,19 +65,19 @@ def test_empty_candidate_scores_zero():
 def test_recall_needs_a_window():
     empty = WindowReference("d", 0, 0, 4)
     with pytest.raises(NoBoundaries):
-        windowed_recall(_cand(1, 0, 0, 0), empty)
-    assert windowed_precision(_cand(1, 0, 0, 0), empty) == 0.0
+        windowed_recall(vector(1, 0, 0, 0), empty)
+    assert windowed_precision(vector(1, 0, 0, 0), empty) == 0.0
 
 
 def test_score_without_reference_boundaries_raises_before_the_limit_is_read():
-    silent = _refs((0, 0, 0), (0, 0, 0))
+    silent = reference_set((0, 0, 0), (0, 0, 0))
     with pytest.raises(NoBoundaries, match=r"^no reference marks any boundary in 'd'$"):
-        wisebe_score(_cand(1, 0, 0), silent, -1)
+        wisebe_score(vector(1, 0, 0), silent, -1)
 
 
 def test_score_rejects_misaligned_candidate():
     with pytest.raises(AlignmentError):
-        wisebe_score(_cand(1, 0), REFS)
+        wisebe_score(vector(1, 0), REFS)
     foreign = BoundaryVector("other", tuple([0] * 11 + [1]), CANDIDATE, "sys")
     with pytest.raises(AlignmentError):
         wisebe_score(foreign, REFS)
