@@ -17,8 +17,9 @@ from pathlib import Path
 from .aggregation import DEFAULT_WINDOW_LIMIT
 from .corpus import load_corpus, named_files
 from .errors import USER_ERRORS, BadThreshold
-from .report import (REPORT_FORMATS, EvalConfig, evaluate_agreement,
-                     evaluate_corpus, render_agreement, render_report)
+from .report import (REPORT_FORMATS, DocumentError, EvalConfig,
+                     evaluate_agreement, evaluate_corpus, render_agreement,
+                     render_report)
 
 
 def _stderr(key: str, items):
@@ -120,7 +121,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except USER_ERRORS as exc:
-        _stderr("errors", [{"doc_id": None, "kind": type(exc).__name__, "message": str(exc)}])
+        _stderr("errors", [DocumentError(None, type(exc).__name__, str(exc))._asdict()])
         return 2
 
 

@@ -49,7 +49,7 @@ class CorpusLayout(NamedTuple):
 
 class Document(NamedTuple):
     """One document, scored in the order it holds its segmentations.
-    load_document checks alignment; each metric checks the vectors it compares."""
+    Scoring checks that its references cover its transcript."""
 
     transcript: Transcript
     references: ReferenceSet

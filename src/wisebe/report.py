@@ -15,6 +15,7 @@ from .baselines import (PRF, lenient_prf, mask_prf, mean_prf, mean_ser,
                         strict_prf)
 from .corpus import CorpusLayout, Document, load_document
 from .errors import USER_ERRORS, ConstantSequence, UnknownFormat
+from .model import check_aligned
 from .scoring import WisebeScore, arithmetic_mean, mean_defined, window_score
 
 MEAN_ROW_ID = "mean"
@@ -71,6 +72,8 @@ class EvaluationReport(NamedTuple):
 
 def _summarize(doc: Document) -> tuple[GeneralReference, DocumentSummary]:
     """A document's vote profile and its summary."""
+    check_aligned(doc.references, doc.transcript, f"references of document {doc.doc_id!r}",
+                  strict_doc_id=True)
     general = build_general_reference(doc.references)
     return general, DocumentSummary(
         doc.doc_id, general.ar, general.kappa,
@@ -126,18 +129,15 @@ def _mean_rows(rows) -> tuple[SystemRow, ...]:
 def _correlate(documents) -> CorrelationResult | None:
     """Pearson r of (agreement ratio, kappa) over documents with a defined kappa."""
     pairs = [(d.agreement_ratio, d.kappa) for d in documents if d.kappa is not None]
-    if len(pairs) < 2:
-        return None
-    xs, ys = zip(*pairs)
     try:
-        return pearson(xs, ys)
-    except ConstantSequence:
+        return pearson([x for x, _ in pairs], [y for _, y in pairs])
+    except (ValueError, ConstantSequence):    # fewer than two pairs, or no variance
         return None
 
 
-def _each_document(layout: CorpusLayout, evaluate: Callable[[Document], object]):
-    """Apply `evaluate` to every loaded document, collecting per-document
-    failures instead of aborting the run."""
+def _each_document(layout: CorpusLayout, evaluate: Callable[[Document], tuple]) -> EvaluationReport:
+    """The report of `evaluate`'s (summary, rows) on every loaded document,
+    collecting per-document failures instead of aborting the run."""
     results = []
     errors: list[DocumentError] = []
     for files in layout.documents:
@@ -145,26 +145,22 @@ def _each_document(layout: CorpusLayout, evaluate: Callable[[Document], object])
             results.append(evaluate(load_document(files)))
         except USER_ERRORS as exc:
             errors.append(DocumentError(files.doc_id, type(exc).__name__, str(exc)))
-    return results, tuple(errors)
-
-
-def _report(results, errors=()) -> EvaluationReport:
-    """The report of (summary, rows) results, one per evaluated document."""
     summaries = tuple(summary for summary, _ in results)
     rows = tuple(row for _, doc_rows in results for row in doc_rows)
-    return EvaluationReport(rows, summaries, _mean_rows(rows), _correlate(summaries), errors)
+    return EvaluationReport(rows, summaries, _mean_rows(rows), _correlate(summaries),
+                            tuple(errors))
 
 
 def evaluate_corpus(layout: CorpusLayout,
                     config: EvalConfig = EvalConfig()) -> EvaluationReport:
     """Score a whole corpus, collecting per-document failures instead of
     aborting the run."""
-    return _report(*_each_document(layout, lambda doc: evaluate_document(doc, config)))
+    return _each_document(layout, lambda doc: evaluate_document(doc, config))
 
 
 def evaluate_agreement(layout: CorpusLayout) -> EvaluationReport:
     """Reference-only pass: agreement ratio and kappa per document, no rows."""
-    return _report(*_each_document(layout, lambda doc: (_summarize(doc)[1], ())))
+    return _each_document(layout, lambda doc: (_summarize(doc)[1], ()))
 
 
 # ---------------------------------------------------------------------------

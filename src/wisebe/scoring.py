@@ -55,13 +55,12 @@ def windowed_precision(cand: BoundaryVector, windows: WindowReference) -> float:
 def windowed_recall(cand: BoundaryVector, windows: WindowReference) -> float:
     """Fraction of windows containing at least one candidate boundary."""
     check_aligned(cand, windows, "candidate vs window reference")
-    p = windows.p
-    if p == 0:
+    span, starts = windows.span_mask, windows.starts
+    if (p := starts.bit_count()) == 0:
         raise NoBoundaries(f"window reference for {windows.doc_id!r} is empty")
     # Adding its first bit to a window minus the candidate's marks
     # carries out past the window's end exactly when it holds no mark.
-    span = windows.span_mask
-    missed = ((span & ~cand.mask) + windows.starts) & ~span
+    missed = ((span & ~cand.mask) + starts) & ~span
     return (p - missed.bit_count()) / p
 
 

@@ -1,0 +1,149 @@
+"""Hand-made mutants of src/wisebe, each with the tests that must kill it.
+
+    python3 tests/mutants.py
+
+Each mutant replaces one piece of text in one file of a temporary copy of
+the repository and runs only its named tests there; it is killed when
+every one of them fails.  The named tests first run on the unmutated
+copy, where they must all pass.  One line is printed per mutant, and the
+exit code is 1 if any mutant survives.  `tests/test_mutants.py` checks,
+without running a mutant, that each old text occurs exactly once in its
+file and that each named test is defined.
+
+Four mutants are left out because no input tells them from the code:
+`harmonic_f1` testing `precision == 0` (recall 0 gives F1 0 anyway),
+`build_window_reference` capping the limit at `general.n - 1` or looping
+to `limit + 1` (the extra step adds only voted positions), and
+`BoundaryVector._make` testing `len(flags) > n` (`mask_flags` never gives
+fewer than n flags).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "data", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str               # relative to the repository root
+    old: str                # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # `file::function`, each of which must fail
+
+
+MUTANTS = (
+    Mutant("capital sigma lowered with the whole string", "src/wisebe/model.py",
+           'text = text.replace("Σ", "σ").lower()', "text = text.lower()",
+           ("tests/test_model.py::test_parse_lowers_capital_sigma_without_final_form",
+            "tests/test_model.py::test_scan_matches_character_oracle_on_tricky_characters")),
+    Mutant("units split at ASCII whitespace only", "src/wisebe/model.py",
+           "tokens += unit.split()", "tokens += [t.decode() for t in unit.encode().split()]",
+           ("tests/test_model.py::test_scan_matches_character_oracle_on_tricky_characters",)),
+    Mutant("a leading run of marks also closes the first token", "src/wisebe/model.py",
+           "del flags[len(tokens) + 1:], flags[0]",
+           "flags[1] |= flags[0]\n    del flags[len(tokens) + 1:], flags[0]",
+           ("tests/test_model.py::test_parse_unit_edge_cases",)),
+    Mutant("token check skips unit-final marks", "src/wisebe/model.py",
+           'if "" in tokens or any(mark in joined for mark in SU_DELIMITERS):',
+           'if "" in tokens:',
+           ("tests/test_model.py::test_transcript_rejects_delimiter_inside_token",
+            "tests/test_model.py::test_transcript_validation_matches_the_token_loop")),
+    Mutant("bit check accepts 2", "src/wisebe/model.py",
+           r'if flags.translate(None, b"\x00\x01"):', r'if flags.translate(None, b"\x00\x01\x02"):',
+           ("tests/test_model.py::test_boundary_vector_validates_bits",)),
+    Mutant("unchecked parse accepts token-free text", "src/wisebe/model.py",
+           "Transcript(doc_id, ())      # raises EmptyTranscript", "pass",
+           ("tests/test_model.py::test_parse_rejects_effectively_empty_input",
+            "tests/test_model.py::test_parse_skips_checks_that_scan_output_always_passes")),
+    Mutant("unchecked parse keeps the token list", "src/wisebe/model.py",
+           "(doc_id, tuple(tokens))", "(doc_id, tokens)",
+           ("tests/test_model.py::test_parse_skips_checks_that_scan_output_always_passes",)),
+    Mutant("text references read in file-name order", "src/wisebe/corpus.py",
+           "for label, path in sorted(entries):", "for label, path in entries:",
+           ("tests/test_cli.py::test_text_and_json_layouts_read_references_in_label_order",
+            "tests/test_end_to_end.py::"
+            "test_reports_are_invariant_under_layout_order_labels_and_other_systems")),
+    Mutant("references never checked against the transcript", "src/wisebe/report.py",
+           "    check_aligned(doc.references, doc.transcript, "
+           'f"references of document {doc.doc_id!r}",\n'
+           "                  strict_doc_id=True)\n", "",
+           ("tests/test_report.py::test_references_must_cover_the_transcript",)),
+    Mutant("mean SER averaged over the first document only", "src/wisebe/report.py",
+           "[r.mean_ser for r in group]", "[r.mean_ser for r in group[:1]]",
+           ("tests/test_end_to_end.py::test_report_values_equal_exact_fractions",)),
+    Mutant("mean rows in the order systems are first seen", "src/wisebe/report.py",
+           "for system, group in sorted(by_system.items())",
+           "for system, group in by_system.items()",
+           ("tests/test_end_to_end.py::test_document_order_changes_no_value",)),
+    Mutant("display rounding to two decimals", "src/wisebe/report.py",
+           "return round(x, 3) if isinstance(x, float) else x",
+           "return round(x, 2) if isinstance(x, float) else x",
+           ("tests/test_end_to_end.py::test_report_values_equal_exact_fractions",)),
+    Mutant("Pearson's r needs three samples", "src/wisebe/agreement.py",
+           "if len(xs) < 2:", "if len(xs) < 3:",
+           ("tests/test_end_to_end.py::test_report_values_equal_exact_fractions",)),
+    Mutant("windows joined across one more unvoted token", "src/wisebe/aggregation.py",
+           "limit = min(separation_limit, general.n)",
+           "limit = min(separation_limit + 1, general.n)",
+           ("tests/test_kernel.py::test_kernel_matches_oracles_across_digits",)),
+)
+
+
+def _run_tests(copy: Path, tests) -> tuple[int, list[str]]:
+    """pytest's exit code on the named tests in `copy`, and those of them
+    that neither failed nor errored."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                           *tests], cwd=copy, env=env, capture_output=True, text=True)
+    # "FAILED file::test[params] - message", or "ERROR file - message" when
+    # the file did not import.
+    red = {line.split()[1].split("[")[0] for line in proc.stdout.splitlines()
+           if line.startswith(("FAILED ", "ERROR "))}
+    return proc.returncode, [test for test in tests
+                             if test not in red and test.split("::")[0] not in red]
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        for name in COPIED:
+            source = REPO_ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(source, copy / name)
+        named = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        if _run_tests(copy, named) != (0, named):
+            print("the named tests do not all pass on the unmutated code", file=sys.stderr)
+            return 2
+        survivors = 0
+        for mutant in MUTANTS:
+            path = copy / mutant.path
+            original = path.read_text(encoding="utf-8")
+            assert original.count(mutant.old) == 1, mutant.name
+            path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            begun = time.perf_counter()
+            _, passing = _run_tests(copy, list(mutant.tests))
+            path.write_text(original, encoding="utf-8")
+            survivors += bool(passing)
+            verdict = f"SURVIVED ({', '.join(passing)} passed)" if passing else "killed"
+            print(f"{time.perf_counter() - begun:6.1f} s  {mutant.name}: {verdict}", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

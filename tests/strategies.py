@@ -1,10 +1,14 @@
-"""Shared hypothesis strategies for randomized inputs."""
+"""Shared hypothesis strategies for randomized inputs, and the helpers
+that write corpora to disk and run the CLI on them."""
 
+import io
 import random
+from contextlib import redirect_stderr
 
 import hypothesis.strategies as st
 
 from wisebe import CANDIDATE, REFERENCE, BoundaryVector, ReferenceSet
+from wisebe.cli import main
 
 TOKEN_ALPHABET = "abcdefghijklmnopqrstuvwxyz'-"
 
@@ -174,3 +178,24 @@ def write_tree(root, entries):
             write_tree(path, payload)
         else:
             path.symlink_to({"dangling": "missing", "loop": name, "link": "ref_1.txt"}[kind])
+
+
+def write_files(root, files):
+    """Write `files` ({relative path: str or bytes}) under `root`, creating
+    parent directories; str is written as UTF-8.  Returns `root`."""
+    for name, payload in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(payload.encode("utf-8") if isinstance(payload, str) else payload)
+    return root
+
+
+def run_cli(argv, out):
+    """(exit code, report bytes, stderr text) of the CLI run on `argv` with
+    its report written to `out`; a run that writes no report reads as empty
+    bytes.  Every failure must be a JSON line, never a traceback."""
+    out.unlink(missing_ok=True)
+    with redirect_stderr(io.StringIO()) as err:
+        code = main([*argv, "--output", str(out)])
+    assert "Traceback" not in err.getvalue()
+    return code, out.read_bytes() if out.exists() else b"", err.getvalue()

@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -14,55 +12,44 @@ import hypothesis.strategies as st
 import wisebe
 from wisebe.cli import main
 from wisebe.report import DocumentError, EvaluationReport, render_report
-from strategies import TEXT_CONTENTS, corpus_trees, write_tree
+from strategies import TEXT_CONTENTS, corpus_trees, run_cli, write_files, write_tree
 
 
-def run_cli(args, tmp_path, fmt=None):
-    """Run main() writing the report to a file; return (exit_code, bytes)."""
-    out = tmp_path / "out"
-    argv = list(args) + ["--output", str(out)]
-    if fmt:
-        argv += ["--format", fmt]
-    code = main(argv)
-    data = out.read_bytes() if out.exists() else b""
-    return code, data
-
-
-def test_eval_table(demo_corpus, tmp_path, capsys):
-    code, data = run_cli(["eval", str(demo_corpus)], tmp_path)
+def test_eval_table(demo_corpus, tmp_path):
+    code, data, err = run_cli(["eval", str(demo_corpus)], tmp_path / "out")
     assert code == 0
     assert b"windowed scores" in data
-    assert capsys.readouterr().err == ""
+    assert err == ""
 
 
 def test_eval_json_schema(demo_corpus, tmp_path):
-    code, data = run_cli(["eval", str(demo_corpus)], tmp_path, fmt="json")
+    code, data, _ = run_cli(["eval", str(demo_corpus), "--format", "json"], tmp_path / "out")
     assert code == 0
     records = json.loads(data)
     assert {r["system"] for r in records} == {"S1", "S2"}
 
 
 def test_eval_with_baselines_and_threshold(demo_corpus, tmp_path):
-    code, data = run_cli(
-        ["eval", str(demo_corpus), "--baselines", "--threshold", "2"],
-        tmp_path, fmt="json",
+    code, data, _ = run_cli(
+        ["eval", str(demo_corpus), "--baselines", "--threshold", "2", "--format", "json"],
+        tmp_path / "out",
     )
     assert code == 0
     assert "consensus_f1" in json.loads(data)[0]
 
 
 def test_eval_window_limit_changes_scores(demo_corpus, tmp_path):
-    _, narrow = run_cli(["eval", str(demo_corpus), "--window-limit", "0"],
-                        tmp_path, fmt="json")
-    _, wide = run_cli(["eval", str(demo_corpus), "--window-limit", "9"],
-                      tmp_path, fmt="json")
+    _, narrow, _ = run_cli(["eval", str(demo_corpus), "--window-limit", "0", "--format", "json"],
+                           tmp_path / "out")
+    _, wide, _ = run_cli(["eval", str(demo_corpus), "--window-limit", "9", "--format", "json"],
+                         tmp_path / "out")
     assert narrow != wide
 
 
 def test_environment_does_not_change_the_report(demo_corpus, tmp_path, monkeypatch):
-    _, default = run_cli(["eval", str(demo_corpus)], tmp_path, fmt="json")
+    _, default, _ = run_cli(["eval", str(demo_corpus), "--format", "json"], tmp_path / "out")
     monkeypatch.setenv("WISEBE_WINDOW_LIMIT", "5")
-    _, with_env = run_cli(["eval", str(demo_corpus)], tmp_path, fmt="json")
+    _, with_env, _ = run_cli(["eval", str(demo_corpus), "--format", "json"], tmp_path / "out")
     assert with_env == default
 
 
@@ -71,11 +58,10 @@ def test_environment_does_not_change_the_report(demo_corpus, tmp_path, monkeypat
     # No document can accept it, so it fails once, not once per document.
     ("--threshold", "0", "BadThreshold", "threshold must be >= 1, got 0"),
 ], ids=["window-limit", "threshold"])
-def test_option_out_of_range_exits_two(demo_corpus, tmp_path, capsys, option, value, kind,
-                                       message):
-    code, _ = run_cli(["eval", str(demo_corpus), option, value], tmp_path)
+def test_option_out_of_range_exits_two(demo_corpus, tmp_path, option, value, kind, message):
+    code, _, err = run_cli(["eval", str(demo_corpus), option, value], tmp_path / "out")
     assert code == 2
-    [error] = json.loads(capsys.readouterr().err)["errors"]
+    [error] = json.loads(err)["errors"]
     assert error == {"doc_id": None, "kind": kind, "message": message}
 
 
@@ -121,38 +107,31 @@ def test_help_still_prints_on_stdout(capsys):
     assert captured.out.startswith("usage: wisebe eval") and captured.err == ""
 
 
-def test_missing_root_exits_two(tmp_path, capsys):
-    code, _ = run_cli(["eval", str(tmp_path / "nope")], tmp_path)
+def test_missing_root_exits_two(tmp_path):
+    code, _, err = run_cli(["eval", str(tmp_path / "nope")], tmp_path / "out")
     assert code == 2
-    payload = json.loads(capsys.readouterr().err)
+    payload = json.loads(err)
     assert payload["errors"][0]["kind"] == "FileNotFoundError"
 
 
-def test_document_failure_exits_one_with_error_json(tmp_path, capsys):
-    root = tmp_path / "corpus"
-    for doc, text in (("good", "go on."), ("bad", None)):
-        (root / doc).mkdir(parents=True)
-        (root / doc / "ref_1.txt").write_text(text or "yes sir.", encoding="utf-8")
-        (root / doc / "ref_2.txt").write_text(text or "no sir.", encoding="utf-8")
-    code, data = run_cli(["eval", str(root)], tmp_path, fmt="json")
+def test_document_failure_exits_one_with_error_json(tmp_path):
+    root = write_files(tmp_path / "corpus", {
+        "good/ref_1.txt": "go on.", "good/ref_2.txt": "go on.",
+        "bad/ref_1.txt": "yes sir.", "bad/ref_2.txt": "no sir."})
+    code, data, err = run_cli(["eval", str(root), "--format", "json"], tmp_path / "out")
     assert code == 1
     assert {r["doc_id"] for r in json.loads(data)} == set()  # no systems anywhere
-    payload = json.loads(capsys.readouterr().err)
+    payload = json.loads(err)
     assert payload["errors"][0]["doc_id"] == "bad"
     assert payload["errors"][0]["kind"] == "AlignmentError"
 
 
-def test_stray_files_warn_on_stderr(tmp_path, capsys):
-    root = tmp_path / "corpus"
-    root.mkdir()
-    (root / "junk.bin").write_bytes(b"\x00")
-    doc = root / "a"
-    doc.mkdir()
-    (doc / "ref_1.txt").write_text("go on.", encoding="utf-8")
-    (doc / "ref_2.txt").write_text("go on.", encoding="utf-8")
-    code, _ = run_cli(["eval", str(root)], tmp_path)
+def test_stray_files_warn_on_stderr(tmp_path):
+    root = write_files(tmp_path / "corpus", {"junk.bin": b"\x00", "a/ref_1.txt": "go on.",
+                                             "a/ref_2.txt": "go on."})
+    code, _, err = run_cli(["eval", str(root)], tmp_path / "out")
     assert code == 0
-    [line] = capsys.readouterr().err.splitlines()
+    [line] = err.splitlines()
     assert json.loads(line) == {"warnings": [
         f"{root / 'junk.bin'}: not a document directory or structured document, ignored"]}
 
@@ -165,14 +144,11 @@ def test_stray_files_warn_on_stderr(tmp_path, capsys):
     ({"a/ref_1.txt": b"go on.", "a/ref_2.txt": b"go. on.",
       "c/ref_1.txt": b"go on.", "c/ref_2.txt": b"\xef\xbb\xbfgo \xff on."}, "c", "c/ref_2.txt", 6),
 ])
-def test_non_utf8_input_names_the_file(tmp_path, capsys, files, doc_id, bad, offset):
-    root = tmp_path / "corpus"
-    for name, payload in files.items():
-        (root / name).parent.mkdir(parents=True, exist_ok=True)
-        (root / name).write_bytes(payload)
-    code, _ = run_cli(["eval", str(root)], tmp_path, fmt="json")
+def test_non_utf8_input_names_the_file(tmp_path, files, doc_id, bad, offset):
+    root = write_files(tmp_path / "corpus", files)
+    code, _, err = run_cli(["eval", str(root), "--format", "json"], tmp_path / "out")
     assert code == 1
-    [error] = json.loads(capsys.readouterr().err)["errors"]
+    [error] = json.loads(err)["errors"]
     assert error == {"doc_id": doc_id, "kind": "ValueError", "message":
                      f"{root / bad}: 'utf-8' codec can't decode byte 0xff "
                      f"in position {offset}: invalid start byte"}
@@ -180,18 +156,16 @@ def test_non_utf8_input_names_the_file(tmp_path, capsys, files, doc_id, bad, off
 
 @pytest.mark.parametrize("command", ["eval", "agreement"])
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_non_utf8_document_id_round_trips(tmp_path, capsys, command, fmt):
+def test_non_utf8_document_id_round_trips(tmp_path, command, fmt):
     """A document directory named by a byte that is not UTF-8 is reported
     under that byte in table and csv, and as its escaped surrogate in json."""
-    root = tmp_path / "corpus"
-    doc = root / os.fsdecode(b"\xff")
-    doc.mkdir(parents=True)
-    (doc / "ref_1.txt").write_text("go on. yes", encoding="utf-8")
-    (doc / "ref_2.txt").write_text("go. on yes", encoding="utf-8")
-    (doc / "sys_S.txt").write_text("go on. yes", encoding="utf-8")
-    code, data = run_cli([command, str(root)], tmp_path, fmt=fmt)
+    doc = os.fsdecode(b"\xff")
+    root = write_files(tmp_path / "corpus", {f"{doc}/ref_1.txt": "go on. yes",
+                                             f"{doc}/ref_2.txt": "go. on yes",
+                                             f"{doc}/sys_S.txt": "go on. yes"})
+    code, data, err = run_cli([command, str(root), "--format", fmt], tmp_path / "out")
     assert code == 0
-    assert capsys.readouterr().err == ""
+    assert err == ""
     if fmt == "json":
         assert b'"\\udcff"' in data
     else:
@@ -199,7 +173,7 @@ def test_non_utf8_document_id_round_trips(tmp_path, capsys, command, fmt):
 
 
 def test_agreement_subcommand(demo_corpus, tmp_path):
-    code, data = run_cli(["agreement", str(demo_corpus)], tmp_path, fmt="json")
+    code, data, _ = run_cli(["agreement", str(demo_corpus), "--format", "json"], tmp_path / "out")
     assert code == 0
     payload = json.loads(data)
     assert payload["pcc"] == pytest.approx(0.947, abs=0.001)
@@ -207,14 +181,13 @@ def test_agreement_subcommand(demo_corpus, tmp_path):
 
 def test_identical_documents_leave_pearson_uncomputed(tmp_path):
     # two documents with the same (agreement ratio, kappa) give a constant sequence
-    for doc in ("a", "b"):
-        (tmp_path / "corpus" / doc).mkdir(parents=True)
-        for name, text in (("ref_1", "go on. stop."), ("ref_2", "go on stop.")):
-            (tmp_path / "corpus" / doc / f"{name}.txt").write_text(text, encoding="utf-8")
-    code, table = run_cli(["agreement", str(tmp_path / "corpus")], tmp_path)
+    root = write_files(tmp_path / "corpus", {f"{doc}/{name}.txt": text for doc in ("a", "b")
+                                             for name, text in (("ref_1", "go on. stop."),
+                                                                ("ref_2", "go on stop."))})
+    code, table, _ = run_cli(["agreement", str(root)], tmp_path / "out")
     assert code == 0
     assert b"pearson r: not computed (needs two varying documents)" in table
-    _, data = run_cli(["agreement", str(tmp_path / "corpus")], tmp_path, fmt="json")
+    _, data, _ = run_cli(["agreement", str(root), "--format", "json"], tmp_path / "out")
     payload = json.loads(data)
     assert all(d["kappa"] is not None for d in payload["documents"])
     assert (payload["pcc"], payload["sample_count"]) == (None, 0)
@@ -224,17 +197,17 @@ def _both_layouts(tmp_path, docs, tokens=("go", "on", "now")):
     """`docs` ({doc id: {file stem: marked positions}}) written as text
     directories under tmp_path/text and as `.json` documents under
     tmp_path/json; returns the two roots."""
-    (tmp_path / "json").mkdir()
+    files = {}
     for doc_id, marks in docs.items():
-        (tmp_path / "text" / doc_id).mkdir(parents=True)
         for name, positions in marks.items():
             text = " ".join(word + "." * (j in positions) for j, word in enumerate(tokens))
-            (tmp_path / "text" / doc_id / f"{name}.txt").write_text(text, encoding="utf-8")
-        (tmp_path / "json" / f"{doc_id}.json").write_text(json.dumps({
+            files[f"text/{doc_id}/{name}.txt"] = text
+        files[f"json/{doc_id}.json"] = json.dumps({
             "tokens": tokens,
             "references": {name: marks[name] for name in marks if name.startswith("ref_")},
             "systems": {name[4:]: marks[name] for name in marks if name.startswith("sys_")},
-        }), encoding="utf-8")
+        })
+    write_files(tmp_path, files)
     return tmp_path / "text", tmp_path / "json"
 
 
@@ -243,72 +216,69 @@ def test_text_and_json_layouts_read_references_in_label_order(tmp_path):
     roots = _both_layouts(tmp_path, {"a": {"ref_1": [0, 3], "ref_1-b": [1, 2, 3],
                                            "sys_S1": [2, 3]}},
                           tokens=("one", "two", "three", "four"))
-    code, text_layout = run_cli(["eval", str(roots[0])], tmp_path)
+    code, text_layout, _ = run_cli(["eval", str(roots[0])], tmp_path / "out")
     assert code == 0
-    code, json_layout = run_cli(["eval", str(roots[1])], tmp_path)
+    code, json_layout, _ = run_cli(["eval", str(roots[1])], tmp_path / "out")
     assert code == 0
     assert text_layout == json_layout
 
 
-def test_a_one_reference_document_fails_alone_in_both_layouts(tmp_path, capsys):
+def test_a_one_reference_document_fails_alone_in_both_layouts(tmp_path):
     roots = _both_layouts(tmp_path, {"a": {"ref_1": [1], "ref_2": [0, 1], "sys_S1": [1]},
                                      "b": {"ref_1": [1], "sys_S1": [0, 1]}}, tokens=("go", "on"))
-    outcomes = [(*run_cli(["eval", str(root)], tmp_path, fmt="json"), capsys.readouterr())
+    outcomes = [run_cli(["eval", str(root), "--format", "json"], tmp_path / "out")
                 for root in roots]
     assert outcomes[0] == outcomes[1]
-    code, data, captured = outcomes[0]
+    code, data, err = outcomes[0]
     assert code == 1
     assert "a" in {row["doc_id"] for row in json.loads(data)}
-    assert json.loads(captured.err) == {"errors": [{
+    assert json.loads(err) == {"errors": [{
         "doc_id": "b", "kind": "MissingReferences",
         "message": "document 'b' has 1 reference(s), need at least 2"}]}
 
 
 @pytest.mark.parametrize("argv", [["eval"], ["eval", "--baselines", "--threshold", "2"],
                                   ["agreement"]], ids=["eval", "baselines", "agreement"])
-def test_a_document_without_reference_boundaries_fails_alone(tmp_path, capsys, argv):
+def test_a_document_without_reference_boundaries_fails_alone(tmp_path, argv):
     roots = _both_layouts(tmp_path, {"a": {"ref_1": [0, 2], "ref_2": [2], "sys_S": [2]},
                                      "b": {"ref_1": [], "ref_2": [], "sys_S": [1]}})
-    outcomes = [(*run_cli([*argv, str(root)], tmp_path, fmt="json"), capsys.readouterr())
+    outcomes = [run_cli([*argv, str(root), "--format", "json"], tmp_path / "out")
                 for root in roots]
     assert outcomes[0] == outcomes[1]
-    code, data, captured = outcomes[0]
+    code, data, err = outcomes[0]
     assert code == 1
     report = json.loads(data)
     scored = {row["doc_id"] for row in (report["documents"] if argv[0] == "agreement" else report)}
     assert "a" in scored and "b" not in scored
-    assert json.loads(captured.err) == {"errors": [{
+    assert json.loads(err) == {"errors": [{
         "doc_id": "b", "kind": "NoBoundaries",
         "message": "no reference marks any boundary in 'b'"}]}
 
 
-def test_a_document_named_mean_fails_alone_in_eval_only(tmp_path, capsys):
+def test_a_document_named_mean_fails_alone_in_eval_only(tmp_path):
     marks = {"ref_1": [0, 2], "ref_2": [2], "sys_S": [2]}
     for root in _both_layouts(tmp_path, {"mean": marks, "v3": marks}):
-        code, data = run_cli(["eval", str(root)], tmp_path, fmt="json")
+        code, data, err = run_cli(["eval", str(root), "--format", "json"], tmp_path / "out")
         assert code == 1
         assert [(row["doc_id"], row["system"]) for row in json.loads(data)] == [
             ("v3", "S"), ("mean", "S")]
-        assert json.loads(capsys.readouterr().err) == {"errors": [{
+        assert json.loads(err) == {"errors": [{
             "doc_id": "mean", "kind": "ValueError",
             "message": "document 'mean': 'mean' names the mean rows"}]}
         # The agreement report has no mean rows, so the name is free there.
-        code, data = run_cli(["agreement", str(root)], tmp_path, fmt="json")
+        code, data, _ = run_cli(["agreement", str(root), "--format", "json"], tmp_path / "out")
         assert code == 0
         assert [d["doc_id"] for d in json.loads(data)["documents"]] == ["mean", "v3"]
 
 
-def test_a_reference_named_mean_fails_its_document(tmp_path, capsys):
-    root = tmp_path / "corpus"
-    root.mkdir()
-    for doc_id, label in (("a", "mean"), ("b", "ref_2")):
-        (root / f"{doc_id}.json").write_text(json.dumps({
-            "tokens": ["go", "on"], "references": {"ref_1": [1], label: [0, 1]},
-            "systems": {"S": [1]}}), encoding="utf-8")
-    code, data = run_cli(["eval", str(root)], tmp_path, fmt="json")
+def test_a_reference_named_mean_fails_its_document(tmp_path):
+    root = write_files(tmp_path / "corpus", {f"{doc_id}.json": json.dumps({
+        "tokens": ["go", "on"], "references": {"ref_1": [1], label: [0, 1]},
+        "systems": {"S": [1]}}) for doc_id, label in (("a", "mean"), ("b", "ref_2"))})
+    code, data, err = run_cli(["eval", str(root), "--format", "json"], tmp_path / "out")
     assert code == 1
     assert [row["doc_id"] for row in json.loads(data)] == ["b", "mean"]
-    assert json.loads(capsys.readouterr().err) == {"errors": [{
+    assert json.loads(err) == {"errors": [{
         "doc_id": "a", "kind": "ValueError",
         "message": "document 'a': 'mean' names the mean rows"}]}
 
@@ -319,76 +289,72 @@ def _error_table(error):
 
 
 @pytest.mark.parametrize("stem, doc_id", [("ref_2", "mean"), ("mean", "doc")])
-def test_score_rejects_the_mean_row_name(tmp_path, capsys, stem, doc_id):
-    for name, text in (("ref_1", "go on."), (stem, "go. on."), ("sys_S", "go on.")):
-        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
-    code, data = run_cli(
+def test_score_rejects_the_mean_row_name(tmp_path, stem, doc_id):
+    write_files(tmp_path, {"ref_1.txt": "go on.", f"{stem}.txt": "go. on.", "sys_S.txt": "go on."})
+    code, data, err = run_cli(
         ["score", "--ref", str(tmp_path / "ref_1.txt"), "--ref", str(tmp_path / f"{stem}.txt"),
-         "--sys", str(tmp_path / "sys_S.txt"), "--doc-id", doc_id], tmp_path)
+         "--sys", str(tmp_path / "sys_S.txt"), "--doc-id", doc_id], tmp_path / "out")
     error = {"doc_id": doc_id, "kind": "ValueError",
              "message": f"document {doc_id!r}: 'mean' names the mean rows"}
     assert (code, data) == (1, _error_table(error))
-    assert json.loads(capsys.readouterr().err) == {"errors": [error]}
+    assert json.loads(err) == {"errors": [error]}
 
 
 def test_score_subcommand(demo_corpus, tmp_path):
     v1 = demo_corpus / "v1"
-    code, data = run_cli([
+    code, data, _ = run_cli([
         "score",
         "--ref", str(v1 / "ref_1.txt"), "--ref", str(v1 / "ref_2.txt"),
         "--ref", str(v1 / "ref_3.txt"), "--sys", str(v1 / "sys_S1.txt"),
-        "--doc-id", "v1",
-    ], tmp_path, fmt="json")
+        "--doc-id", "v1", "--format", "json",
+    ], tmp_path / "out")
     assert code == 0
     records = json.loads(data)
     assert records[0]["doc_id"] == "v1"
     assert records[0]["system"] == "S1"
 
 
-def test_score_needs_two_references(demo_corpus, tmp_path, capsys):
-    code, data = run_cli(
-        ["score", "--ref", str(demo_corpus / "v1" / "ref_1.txt")], tmp_path)
+def test_score_needs_two_references(demo_corpus, tmp_path):
+    code, data, err = run_cli(
+        ["score", "--ref", str(demo_corpus / "v1" / "ref_1.txt")], tmp_path / "out")
     assert code == 1
-    payload = json.loads(capsys.readouterr().err)
+    payload = json.loads(err)
     assert payload["errors"][0]["kind"] == "MissingReferences"
     assert data == _error_table(payload["errors"][0])
 
 
-def test_score_rejects_duplicate_system_labels(tmp_path, capsys):
-    for folder, text in (("a", "go on. stop."), ("b", "go. on stop.")):
-        (tmp_path / folder).mkdir()
-        (tmp_path / folder / "sys_S1.txt").write_text(text, encoding="utf-8")
-    (tmp_path / "ref_1.txt").write_text("go on. stop.", encoding="utf-8")
-    (tmp_path / "ref_2.txt").write_text("go on stop.", encoding="utf-8")
-    code, data = run_cli(
+def test_score_rejects_duplicate_system_labels(tmp_path):
+    write_files(tmp_path, {"a/sys_S1.txt": "go on. stop.", "b/sys_S1.txt": "go. on stop.",
+                           "ref_1.txt": "go on. stop.", "ref_2.txt": "go on stop."})
+    code, data, err = run_cli(
         ["score", "--ref", str(tmp_path / "ref_1.txt"), "--ref", str(tmp_path / "ref_2.txt"),
          "--sys", str(tmp_path / "a" / "sys_S1.txt"), "--sys", str(tmp_path / "b" / "sys_S1.txt")],
-        tmp_path)
-    [error] = json.loads(capsys.readouterr().err)["errors"]
+        tmp_path / "out")
+    [error] = json.loads(err)["errors"]
     assert (code, data) == (1, _error_table(error))
     assert error["doc_id"] == "doc"
     assert error["kind"] == "DuplicateLabel"
     assert "'S1'" in error["message"]
 
 
-def test_score_rejects_duplicate_reference_labels(tmp_path, capsys):
+def test_score_rejects_duplicate_reference_labels(tmp_path):
     # The files do not exist: the labels are checked before anything is read.
-    code, data = run_cli(
+    code, data, err = run_cli(
         ["score", "--ref", str(tmp_path / "a" / "ref_1.txt"),
          "--ref", str(tmp_path / "b" / "ref_1.txt"), "--sys", str(tmp_path / "sys_S.txt"),
          "--baselines"],
-        tmp_path)
-    [error] = json.loads(capsys.readouterr().err)["errors"]
+        tmp_path / "out")
+    [error] = json.loads(err)["errors"]
     assert (code, data) == (1, _error_table(error))
     assert error["doc_id"] == "doc"
     assert error["kind"] == "DuplicateLabel"
     assert "reference label 'ref_1'" in error["message"]
 
 
-def test_bad_threshold_is_a_document_error(demo_corpus, tmp_path, capsys):
-    code, _ = run_cli(["eval", str(demo_corpus), "--threshold", "9"], tmp_path)
+def test_bad_threshold_is_a_document_error(demo_corpus, tmp_path):
+    code, _, err = run_cli(["eval", str(demo_corpus), "--threshold", "9"], tmp_path / "out")
     assert code == 1
-    payload = json.loads(capsys.readouterr().err)
+    payload = json.loads(err)
     assert all(e["kind"] == "BadThreshold" for e in payload["errors"])
 
 
@@ -401,32 +367,27 @@ def test_cli_runs_as_module(demo_corpus):
     assert proc.stdout.startswith(b"doc_id,system,")
 
 
-def _one_document_corpus(tmp_path, refs, system):
-    doc = tmp_path / "corpus" / "a"
-    doc.mkdir(parents=True)
-    for i, text in enumerate(refs, 1):
-        (doc / f"ref_{i}.txt").write_text(text, encoding="utf-8")
-    (doc / "sys_S.txt").write_text(system, encoding="utf-8")
-    return doc.parent
-
-
-def test_undefined_kappa_keeps_the_document(tmp_path, capsys):
+def test_undefined_kappa_keeps_the_document(tmp_path):
     # every reference marks the only token: Fleiss' kappa divides by zero
-    root = _one_document_corpus(tmp_path, ["hello.", "hello!"], "hello.")
-    code, data = run_cli(["eval", str(root)], tmp_path, fmt="json")
+    root = write_files(tmp_path / "corpus", {"a/ref_1.txt": "hello.", "a/ref_2.txt": "hello!",
+                                             "a/sys_S.txt": "hello."})
+    code, data, err = run_cli(["eval", str(root), "--format", "json"], tmp_path / "out")
     assert code == 0
     row = json.loads(data)[0]
     assert (row["doc_id"], row["wisebe"], row["kappa"]) == ("a", 1.0, None)
-    code, data = run_cli(["agreement", str(root)], tmp_path, fmt="csv")
+    assert err == ""
+    code, data, err = run_cli(["agreement", str(root), "--format", "csv"], tmp_path / "out")
     assert code == 0
     assert data.decode().splitlines()[1] == "a,1.000,"
-    assert capsys.readouterr().err == ""
+    assert err == ""
 
 
-def test_reference_without_boundaries_blanks_mean_ser(tmp_path, capsys):
+def test_reference_without_boundaries_blanks_mean_ser(tmp_path):
     # ref_2 has no slots, so its slot error rate is undefined
-    root = _one_document_corpus(tmp_path, ["a b. c d.", "a b c d"], "a b. c d")
-    code, data = run_cli(["eval", str(root), "--baselines"], tmp_path, fmt="csv")
+    root = write_files(tmp_path / "corpus", {"a/ref_1.txt": "a b. c d.", "a/ref_2.txt": "a b c d",
+                                             "a/sys_S.txt": "a b. c d"})
+    code, data, err = run_cli(["eval", str(root), "--baselines", "--format", "csv"],
+                              tmp_path / "out")
     assert code == 0
     header, row, mean = data.decode().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
@@ -434,13 +395,11 @@ def test_reference_without_boundaries_blanks_mean_ser(tmp_path, capsys):
     assert cells["mean_ser"] == ""
     assert cells["lenient_f1"] == "1.000"
     assert mean.startswith("mean,S,")
-    assert capsys.readouterr().err == ""
+    assert err == ""
 
 
 def test_deeply_nested_json_is_a_document_error(tmp_path):
-    root = tmp_path / "corpus"
-    root.mkdir()
-    (root / "deep.json").write_text("[" * 100_000, encoding="utf-8")
+    root = write_files(tmp_path / "corpus", {"deep.json": "[" * 100_000})
     env = {**os.environ, "PYTHONPATH": str(Path(wisebe.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "wisebe", "eval", str(root)],
                           capture_output=True, text=True, env=env)
@@ -451,35 +410,29 @@ def test_deeply_nested_json_is_a_document_error(tmp_path):
     assert "deep.json" in error["message"]
 
 
-def test_repeated_json_key_is_a_document_error(tmp_path, capsys):
-    root = tmp_path / "corpus"
-    root.mkdir()
-    (root / "a.json").write_text(
-        '{"tokens": ["go", "on"], "references": {"r": [0], "r": [1], "q": [1]}}',
-        encoding="utf-8")
-    code, _ = run_cli(["eval", str(root)], tmp_path, fmt="json")
+def test_repeated_json_key_is_a_document_error(tmp_path):
+    root = write_files(tmp_path / "corpus", {
+        "a.json": '{"tokens": ["go", "on"], "references": {"r": [0], "r": [1], "q": [1]}}'})
+    code, _, err = run_cli(["eval", str(root), "--format", "json"], tmp_path / "out")
     assert code == 1
-    [error] = json.loads(capsys.readouterr().err)["errors"]
+    [error] = json.loads(err)["errors"]
     assert (error["doc_id"], error["kind"]) == ("a", "DuplicateLabel")
     assert "a.json" in error["message"] and "key 'r'" in error["message"]
 
 
 @pytest.mark.parametrize("section", ["references", "systems"])
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_lone_surrogate_label_is_a_document_error(tmp_path, capsys, section, fmt):
+def test_lone_surrogate_label_is_a_document_error(tmp_path, section, fmt):
     """A label that cannot be written as UTF-8 fails its own document only."""
-    root = tmp_path / "corpus"
-    root.mkdir()
     labels = {"references": {"r1": [0], "r2": [1, 2]}, "systems": {"S": [2]}}
-    (root / "good.json").write_text(json.dumps({"tokens": ["a", "b", "c"], **labels}),
-                                   encoding="utf-8")
+    good = json.dumps({"tokens": ["a", "b", "c"], **labels})
     first = next(iter(labels[section]))
     labels[section]["\ud800"] = labels[section].pop(first)
-    (root / "bad.json").write_text(json.dumps({"tokens": ["a", "b", "c"], **labels}),
-                                  encoding="utf-8")
-    code, data = run_cli(["eval", str(root)], tmp_path, fmt=fmt)
+    root = write_files(tmp_path / "corpus", {
+        "good.json": good, "bad.json": json.dumps({"tokens": ["a", "b", "c"], **labels})})
+    code, data, err = run_cli(["eval", str(root), "--format", fmt], tmp_path / "out")
     assert code == 1
-    [error] = json.loads(capsys.readouterr().err)["errors"]
+    [error] = json.loads(err)["errors"]
     assert (error["doc_id"], error["kind"]) == ("bad", "ValueError")
     assert error["message"] == f"{root / 'bad.json'}: key '\\ud800' is not valid UTF-8"
     if fmt == "json":
@@ -490,17 +443,15 @@ def test_lone_surrogate_label_is_a_document_error(tmp_path, capsys, section, fmt
 
 
 @pytest.mark.parametrize("section", ["references", "systems"])
-def test_empty_label_is_a_document_error(tmp_path, capsys, section):
+def test_empty_label_is_a_document_error(tmp_path, section):
     """An empty name would give a blank system cell, like the mean row's."""
-    root = tmp_path / "corpus"
-    root.mkdir()
     labels = {"references": {"r1": [1, 3], "r2": [3]}, "systems": {"S": [1]}}
     labels[section][""] = labels[section].pop(next(iter(labels[section])))
-    (root / "a.json").write_text(json.dumps({"tokens": ["a", "b", "c", "d"], **labels}),
-                                 encoding="utf-8")
-    code, _ = run_cli(["eval", str(root)], tmp_path, fmt="csv")
+    root = write_files(tmp_path / "corpus",
+                       {"a.json": json.dumps({"tokens": ["a", "b", "c", "d"], **labels})})
+    code, _, err = run_cli(["eval", str(root), "--format", "csv"], tmp_path / "out")
     assert code == 1
-    [error] = json.loads(capsys.readouterr().err)["errors"]
+    [error] = json.loads(err)["errors"]
     assert (error["doc_id"], error["kind"]) == ("a", "ValueError")
     assert error["message"] == f"{root / 'a.json'}: empty key in {section!r}"
 
@@ -533,18 +484,9 @@ def test_cli_imports_nothing_heavy(demo_corpus, tmp_path):
     assert (tmp_path / "eval.csv").stat().st_size and (tmp_path / "agreement.json").stat().st_size
 
 
-def _run_quietly(argv):
-    """main(argv) with stderr captured; returns (exit code, stderr lines)."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert "Traceback" not in err.getvalue()
-    return code, err.getvalue().splitlines()
-
-
-def _assert_structured_stderr(code, lines):
+def _assert_structured_stderr(code, err):
     assert code in (0, 1, 2)
-    payloads = [json.loads(line) for line in lines]
+    payloads = [json.loads(line) for line in err.splitlines()]
     assert all(isinstance(payload, dict) for payload in payloads)
     if code:
         assert "errors" in payloads[-1]
@@ -565,9 +507,8 @@ def test_cli_survives_random_corpora(tree, command):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "corpus"
         write_tree(root, tree)
-        code, lines = _run_quietly(
-            [command[0], str(root), *command[1:], "--output", str(Path(tmp) / "out")])
-    _assert_structured_stderr(code, lines)
+        code, _, err = run_cli([command[0], str(root), *command[1:]], Path(tmp) / "out")
+    _assert_structured_stderr(code, err)
 
 
 SCORE_FILES = st.one_of(
@@ -591,8 +532,8 @@ def test_score_survives_random_files(files, systems):
             else:
                 path.symlink_to("missing" if kind == "dangling" else path.name)
             argv += ["--sys" if 0 < i <= systems else "--ref", str(path)]
-        code, lines = _run_quietly([*argv, "--output", str(Path(tmp) / "out")])
-    _assert_structured_stderr(code, lines)
+        code, _, err = run_cli(argv, Path(tmp) / "out")
+    _assert_structured_stderr(code, err)
 
 
 # Words of a command line: every subcommand and option but `-h` and
@@ -613,5 +554,5 @@ def test_cli_survives_random_command_lines(demo_corpus, words):
     JSON lines on stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = [word.format(root=demo_corpus) for word in words]
-        code, lines = _run_quietly([*argv, "--output", str(Path(tmp) / "out")])
-    _assert_structured_stderr(code, lines)
+        code, _, err = run_cli(argv, Path(tmp) / "out")
+    _assert_structured_stderr(code, err)

@@ -12,22 +12,14 @@ from wisebe import (AlignmentError, DuplicateLabel, MissingReferences,
 from wisebe.corpus import _read_text
 from wisebe.model import _scan
 from oracles import corpus_by_iterdir
-from strategies import corpus_trees, write_tree
-
-
-def _write_doc(root, doc_id, files):
-    doc_dir = root / doc_id
-    doc_dir.mkdir()
-    for name, text in files.items():
-        (doc_dir / name).write_text(text, encoding="utf-8")
+from strategies import corpus_trees, write_files, write_tree
 
 
 def test_load_corpus_discovers_both_layouts(tmp_path):
-    _write_doc(tmp_path, "b", {"ref_1.txt": "go on.", "ref_2.txt": "go on."})
-    (tmp_path / "a.json").write_text(json.dumps({
+    write_files(tmp_path, {"b/ref_1.txt": "go on.", "b/ref_2.txt": "go on.", "a.json": json.dumps({
         "tokens": ["go", "on"],
         "references": {"r1": [1], "r2": [0, 1]},
-    }), encoding="utf-8")
+    })})
     layout = load_corpus(tmp_path)
     assert [f.doc_id for f in layout.documents] == ["a", "b"]
     assert layout.documents[0].structured_path is not None
@@ -35,10 +27,10 @@ def test_load_corpus_discovers_both_layouts(tmp_path):
 
 
 def test_load_corpus_warns_about_strays_instead_of_skipping_silently(tmp_path):
-    _write_doc(tmp_path, "a", {
-        "ref_1.txt": "go on.", "ref_2.txt": "go on.", "notes.txt": "scratch",
+    write_files(tmp_path, {
+        "a/ref_1.txt": "go on.", "a/ref_2.txt": "go on.", "a/notes.txt": "scratch",
+        "README.md": "hello",
     })
-    (tmp_path / "README.md").write_text("hello", encoding="utf-8")
     layout = load_corpus(tmp_path)
     assert len(layout.warnings) == 2
     assert any("notes.txt" in w for w in layout.warnings)
@@ -46,7 +38,7 @@ def test_load_corpus_warns_about_strays_instead_of_skipping_silently(tmp_path):
 
 
 def test_load_corpus_requires_two_references_per_directory(tmp_path):
-    _write_doc(tmp_path, "a", {"ref_1.txt": "go on.", "sys_x.txt": "go on."})
+    write_files(tmp_path / "a", {"ref_1.txt": "go on.", "sys_x.txt": "go on."})
     [files] = load_corpus(tmp_path).documents
     with pytest.raises(MissingReferences,
                        match=r"^document 'a' has 1 reference\(s\), need at least 2$"):
@@ -54,8 +46,7 @@ def test_load_corpus_requires_two_references_per_directory(tmp_path):
 
 
 def test_load_corpus_rejects_duplicate_doc_ids(tmp_path):
-    _write_doc(tmp_path, "a", {"ref_1.txt": "go.", "ref_2.txt": "go."})
-    (tmp_path / "a.json").write_text("{}", encoding="utf-8")
+    write_files(tmp_path, {"a/ref_1.txt": "go.", "a/ref_2.txt": "go.", "a.json": "{}"})
     with pytest.raises(DuplicateLabel, match=f"^{re.escape(str(tmp_path))}: document id 'a' "
                                              "is given 2 times$"):
         load_corpus(tmp_path)
@@ -71,7 +62,7 @@ def test_load_corpus_accepts_empty_root(tmp_path):
 
 
 def test_load_document_from_directory(tmp_path):
-    _write_doc(tmp_path, "a", {
+    write_files(tmp_path / "a", {
         "ref_1.txt": "Go on. Stop here.",
         "ref_2.txt": "Go on stop here.",
         "sys_S1.txt": "Go. On stop here.",
@@ -89,17 +80,18 @@ def test_load_document_from_directory(tmp_path):
 @pytest.mark.parametrize("layout", ["text", "json"])
 def test_load_document_ignores_a_utf8_byte_order_mark(tmp_path, layout):
     if layout == "text":
-        _write_doc(tmp_path, "a", {"ref_1.txt": "\ufeffGo on. Stop.", "ref_2.txt": "go on stop."})
+        write_files(tmp_path / "a", {"ref_1.txt": "\ufeffGo on. Stop.",
+                                     "ref_2.txt": "go on stop."})
     else:
         payload = {"tokens": ["go", "on", "stop"], "references": {"r1": [1, 2], "r2": [2]}}
-        (tmp_path / "a.json").write_text("\ufeff" + json.dumps(payload), encoding="utf-8")
+        write_files(tmp_path, {"a.json": "\ufeff" + json.dumps(payload)})
     doc = load_document(load_corpus(tmp_path).documents[0])
     assert doc.transcript.tokens == ("go", "on", "stop")
     assert doc.references.references[0].bits == (0, 1, 1)
 
 
 def test_load_document_rejects_token_mismatch(tmp_path):
-    _write_doc(tmp_path, "a", {
+    write_files(tmp_path / "a", {
         "ref_1.txt": "go on.",
         "ref_2.txt": "go on.",
         "sys_S1.txt": "go away.",
@@ -112,11 +104,11 @@ def test_load_document_rejects_token_mismatch(tmp_path):
 
 
 def test_load_structured_document(tmp_path):
-    (tmp_path / "a.json").write_text(json.dumps({
+    write_files(tmp_path, {"a.json": json.dumps({
         "tokens": ["one", "two", "three"],
         "references": {"r1": [0, 2], "r2": [2]},
         "systems": {"S1": [1, 2]},
-    }), encoding="utf-8")
+    })})
     doc = load_document(load_corpus(tmp_path).documents[0])
     assert doc.transcript.tokens == ("one", "two", "three")
     assert doc.references.references[0].bits == (1, 0, 1)
@@ -144,7 +136,7 @@ def test_load_structured_document(tmp_path):
                  id="unknown-key"),
 ])
 def test_load_structured_rejects_malformed_payloads(tmp_path, payload, error):
-    (tmp_path / "a.json").write_text(json.dumps(payload), encoding="utf-8")
+    write_files(tmp_path, {"a.json": json.dumps(payload)})
     error, match = error if isinstance(error, tuple) else (error, None)
     with pytest.raises(error, match=match):
         load_document(load_corpus(tmp_path).documents[0])

@@ -13,8 +13,9 @@ permute the rows that name a reference.  Adding a system may change no
 other system's rows.  `score` on one document's files must report what
 `eval` reports on a root holding only that document.  In process, every
 value of the report equals its exact-fraction recomputation by the
-independent oracles, the order in which documents are read changes no
-value, and at window limit 0 the windows are the voted positions.
+independent oracles, at full precision and as the json and csv reports
+print it, the order in which documents are read changes no value, and at
+window limit 0 the windows are the voted positions.
 """
 
 import csv
@@ -22,7 +23,6 @@ import io
 import json
 import random
 import tempfile
-from contextlib import redirect_stderr
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -31,13 +31,12 @@ from hypothesis import Phase, given, note, settings
 import hypothesis.strategies as st
 
 from wisebe.aggregation import build_general_reference, build_window_reference
-from wisebe.cli import main
 from wisebe.corpus import load_corpus, load_document
-from wisebe.report import EvalConfig, evaluate_agreement, evaluate_corpus
+from wisebe.report import EvalConfig, evaluate_agreement, evaluate_corpus, render_report
 from oracles import (agreement_ratio_by_counting, consensus_by_counting,
                      fleiss_kappa_by_table, lenient_prf_by_sets, pearson_by_moments,
                      strict_prf_by_sets, windowed_prf_by_membership, windows_by_regex)
-from strategies import TOKEN_ALPHABET, sparse_bits
+from strategies import TOKEN_ALPHABET, run_cli, sparse_bits, write_files
 
 FORMATS = ("table", "json", "csv")
 COMMANDS = {"eval": ["eval"], "baselines": ["eval", "--baselines", "--threshold", "2"],
@@ -110,20 +109,20 @@ def _positions(bits):
 
 
 def _write_text(root, docs):
+    files = {}
     for doc in docs:
-        folder = root / doc.doc_id
-        folder.mkdir(parents=True)
-        files = list(zip(doc.labels, doc.refs))
-        files += [(f"sys_{label}", bits) for label, bits in doc.systems.items()]
-        for (stem, bits), bom in zip(files, doc.boms[1:]):
+        stems = list(zip(doc.labels, doc.refs))
+        stems += [(f"sys_{label}", bits) for label, bits in doc.systems.items()]
+        for (stem, bits), bom in zip(stems, doc.boms[1:]):
             text = " ".join(w + "." if bit else w for w, bit in zip(doc.words, bits))
-            (folder / f"{stem}.txt").write_text(BOM * bom + text, encoding="utf-8")
+            files[f"{doc.doc_id}/{stem}.txt"] = BOM * bom + text
+    write_files(root, files)
 
 
 def _write_json(root, docs, ref_order=None, extra=False):
     """One `.json` document per drawn document; `ref_order(doc)` lists the
     reference indices in the order their keys are written."""
-    root.mkdir(parents=True)
+    files = {}
     for doc in docs:
         order = ref_order(doc) if ref_order else range(len(doc.refs))
         named = dict(doc.systems)
@@ -132,27 +131,18 @@ def _write_json(root, docs, ref_order=None, extra=False):
         payload = {"tokens": doc.words,
                    "references": {doc.labels[i]: _positions(doc.refs[i]) for i in order},
                    "systems": {label: _positions(bits) for label, bits in named.items()}}
-        (root / f"{doc.doc_id}.json").write_text(BOM * doc.boms[0] + json.dumps(payload),
-                                                 encoding="utf-8")
-
-
-def _run(argv, out):
-    """(exit code, report bytes, stderr) of one command line that writes its
-    report to `out`; a run that writes no report reads as empty bytes."""
-    out.unlink(missing_ok=True)
-    with redirect_stderr(io.StringIO()) as err:
-        code = main([*argv, "--output", str(out)])
-    return code, out.read_bytes() if out.exists() else b"", err.getvalue()
+        files[f"{doc.doc_id}.json"] = BOM * doc.boms[0] + json.dumps(payload)
+    write_files(root, files)
 
 
 def _reports(root, limit):
-    """{(command, format): _run(...)} of every command on the root."""
+    """{(command, format): run_cli(...)} of every command on the root."""
     out = root.parent / f"{root.name}.out"
     reports = {}
     for name, argv in COMMANDS.items():
         options = ["--window-limit", str(limit)] if argv[0] == "eval" else []
         for fmt in FORMATS:
-            reports[name, fmt] = _run([*argv, str(root), "--format", fmt, *options], out)
+            reports[name, fmt] = run_cli([*argv, str(root), "--format", fmt, *options], out)
     return reports
 
 
@@ -228,6 +218,15 @@ ROUNDED = ("mean.precision", "mean.recall", "mean.f1", "score.f1_rw", "score.wis
            "consensus.precision", "consensus.recall", "consensus.f1")
 # Values that are one ratio of two counts, so exactly their float.
 RATIOS = ("score.precision_rw", "score.recall_rw", "score.agreement_ratio")
+# The value each column of a json or csv report prints, when every column
+# group is on.
+PRINTED = {"precision": "mean.precision", "recall": "mean.recall", "f1": "mean.f1",
+           "f1_mean": "mean.f1", "f1_rw": "score.f1_rw",
+           "agreement_ratio": "score.agreement_ratio", "wisebe": "score.wisebe",
+           "kappa": "kappa", "mean_ser": "mean_ser", "lenient_precision": "lenient.precision",
+           "lenient_recall": "lenient.recall", "lenient_f1": "lenient.f1",
+           "consensus_precision": "consensus.precision",
+           "consensus_recall": "consensus.recall", "consensus_f1": "consensus.f1"}
 
 
 def _get(row, path):
@@ -272,6 +271,15 @@ def _oracle_rows(doc, limit):
     return rows
 
 
+def _printed(value):
+    """What a report may print for an exact value: None, or the value moved
+    by at most 1e-12 and rounded to three decimals, so either neighbour of
+    a tie, and either sign of a zero, is accepted."""
+    if value is None:
+        return [None]
+    return [round(float(value) + d, 3) for d in (-1e-12, 0.0, 1e-12)]
+
+
 def _assert_close(actual, expected):
     if expected is None:
         assert actual is None
@@ -295,6 +303,7 @@ def test_report_values_equal_exact_fractions(corpus):
     scored = [doc for doc in docs if doc.doc_id not in failing]
     assert [d.doc_id for d in report.documents] == [doc.doc_id for doc in scored]
     rows = {(row.doc_id, row.system): row for row in report.rows}
+    expected = {}    # {(doc id, system): {value path: exact value}}, mean rows included
     by_system = {}
     for doc, summary in zip(scored, report.documents):
         assert summary.agreement_ratio == float(agreement_ratio_by_counting(doc.refs)[2])
@@ -314,10 +323,27 @@ def test_report_values_equal_exact_fractions(corpus):
             for path in ROUNDED:
                 _assert_close(_get(row, path), values[path])
             by_system.setdefault(system, []).append(values)
+            expected[doc.doc_id, system] = values
     assert [row.system for row in report.aggregates] == sorted(by_system)
     for row in report.aggregates:
-        for path in (*RATIOS, *ROUNDED):
-            _assert_close(_get(row, path), _mean([v[path] for v in by_system[row.system]]))
+        means = {path: _mean([v[path] for v in by_system[row.system]])
+                 for path in (*RATIOS, *ROUNDED)}
+        for path, value in means.items():
+            _assert_close(_get(row, path), value)
+        expected["mean", row.system] = means
+    # The same values as the json and csv reports print them.
+    records = json.loads(render_report(report, "json"))
+    lines = list(csv.DictReader(io.StringIO(render_report(report, "csv").decode())))
+    assert len(records) == len(lines) == len(expected)
+    for record, line in zip(records, lines):
+        key = record["doc_id"], record["system"]
+        assert (line["doc_id"], line["system"]) == key
+        assert set(record) == set(line) == {"doc_id", "system", *PRINTED}
+        for column, path in PRINTED.items():
+            printed = _printed(expected[key][path])
+            assert record[column] in printed, (key, column)
+            cells = ["" if p is None else f"{p:.3f}" for p in printed]
+            assert line[column] in cells, (key, column)
     # Pearson's r of (agreement ratio, kappa) over the documents with a kappa.
     pairs = [(agreement_ratio_by_counting(doc.refs)[2], kappa) for doc in scored
              if (kappa := fleiss_kappa_by_table(doc.refs)) is not None]
@@ -379,8 +405,8 @@ def test_score_is_eval_over_the_one_document_of_its_files(doc, misaligned):
         for argv in (COMMANDS["eval"], COMMANDS["baselines"]):
             for fmt in FORMATS:
                 options = [*argv[1:], "--format", fmt]
-                assert (_run(["score", *map(str, files), "--doc-id", doc.doc_id, *options], out)
-                        == _run(["eval", str(root), *options], out))
+                assert (run_cli(["score", *map(str, files), "--doc-id", doc.doc_id, *options], out)
+                        == run_cli(["eval", str(root), *options], out))
 
 
 @settings(max_examples=20)

@@ -1,14 +1,16 @@
 import json
+import re
 import shutil
 from statistics import fmean
 
 import pytest
 
-from wisebe import (REPORT_FIELDS, Document, EvalConfig, UnknownFormat,
-                    evaluate_agreement, evaluate_corpus, evaluate_document,
-                    load_corpus, load_document, render_agreement,
-                    render_report)
+from wisebe import (REPORT_FIELDS, AlignmentError, Document, EvalConfig,
+                    Transcript, UnknownFormat, evaluate_agreement,
+                    evaluate_corpus, evaluate_document, load_corpus,
+                    load_document, render_agreement, render_report)
 from wisebe.report import EvaluationReport
+from strategies import reference_set, write_files
 
 
 @pytest.fixture(scope="module")
@@ -105,14 +107,8 @@ def test_empty_corpus_renders_valid_empty_outputs(tmp_path):
 
 
 def test_document_failures_are_collected_not_fatal(tmp_path):
-    good = tmp_path / "good"
-    good.mkdir()
-    (good / "ref_1.txt").write_text("go on. stop.", encoding="utf-8")
-    (good / "ref_2.txt").write_text("go on stop.", encoding="utf-8")
-    bad = tmp_path / "bad"
-    bad.mkdir()
-    (bad / "ref_1.txt").write_text("yes sir.", encoding="utf-8")
-    (bad / "ref_2.txt").write_text("no sir.", encoding="utf-8")
+    write_files(tmp_path, {"good/ref_1.txt": "go on. stop.", "good/ref_2.txt": "go on stop.",
+                           "bad/ref_1.txt": "yes sir.", "bad/ref_2.txt": "no sir."})
     report = evaluate_corpus(load_corpus(tmp_path))
     assert [d.doc_id for d in report.documents] == ["good"]
     assert len(report.errors) == 1
@@ -144,6 +140,17 @@ def test_rows_keep_the_documents_order(demo_corpus):
         doc.transcript, doc.references, (("S", second),)))[1][0].score
 
 
+@pytest.mark.parametrize("tokens, mismatch", [
+    (("a",), "3 vs 1 positions"), (("a", "b", "c"), "document 'd' vs 'x'"),
+], ids=["length", "doc_id"])
+def test_references_must_cover_the_transcript(tokens, mismatch):
+    # a Document built directly is checked as a loaded one is
+    doc = Document(Transcript("x", tokens), reference_set((1, 0, 1), (0, 0, 1)), ())
+    with pytest.raises(AlignmentError,
+                       match=f"^references of document 'x': {re.escape(mismatch)}$"):
+        evaluate_document(doc)
+
+
 def test_agreement_report(demo_corpus):
     report = evaluate_agreement(load_corpus(demo_corpus))
     assert [s.doc_id for s in report.documents] == ["v1", "v2", "v3", "v4"]
@@ -167,10 +174,8 @@ def test_rendering_is_deterministic(demo_corpus):
 def test_undefined_kappa_is_left_out_of_means_and_correlation(demo_corpus, tmp_path):
     for doc in ("v1", "v3", "v4"):
         shutil.copytree(demo_corpus / doc, tmp_path / doc)
-    tiny = tmp_path / "tiny"
-    tiny.mkdir()
-    for name, text in (("ref_1", "hello."), ("ref_2", "hello!"), ("sys_S1", "hello.")):
-        (tiny / f"{name}.txt").write_text(text, encoding="utf-8")
+    write_files(tmp_path / "tiny", {"ref_1.txt": "hello.", "ref_2.txt": "hello!",
+                                    "sys_S1.txt": "hello."})
     layout = load_corpus(tmp_path)
     agreement = evaluate_agreement(layout)
     assert [s.kappa is None for s in agreement.documents] == [True, False, False, False]
