@@ -1,9 +1,10 @@
 """Command line front end; `score` is `eval` over the one document its files make up.
 
-Exit codes: 0 on success, 1 when some documents failed to evaluate,
-2 on a corpus-level or usage error (a bad command line is a ValueError).
-Each stderr line is one JSON object: {"errors": [{"doc_id", "kind",
-"message"}, ...]}, after ignored corpus entries, if any, {"warnings": [...]}.
+Exit codes: 0 on success, 1 when some documents failed to evaluate, 2 on a
+usage error (a bad command line is a ValueError) or a corpus-level error; the
+options are checked before the corpus is read.  Each stderr line is one JSON
+object: {"warnings": [...]} for ignored corpus entries, before any document is
+evaluated, and {"errors": [{"doc_id", "kind", "message"}, ...]} after the report.
 """
 
 from __future__ import annotations
@@ -50,23 +51,6 @@ def _config(args) -> EvalConfig:
                       consensus_threshold=args.threshold)
 
 
-def _cmd_corpus(args, evaluate, render, layout) -> int:
-    """Report on every document of the layout; exit 1 if any failed."""
-    _stderr("warnings", layout.warnings)
-    report = evaluate(layout)
-    _write(render(report, args.format), args.output)
-    if report.errors:
-        _stderr("errors", [e._asdict() for e in report.errors])
-        return 1
-    return 0
-
-
-def _scored(layout_of):
-    """The command that scores the documents of `layout_of(args)`."""
-    return lambda args: _cmd_corpus(args, partial(evaluate_corpus, config=_config(args)),
-                                    render_report, layout_of(args))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wisebe",
@@ -94,13 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", parents=[common, scoring],
                             help="evaluate every document under a corpus root")
     p_eval.add_argument("root", type=Path, help="corpus root directory")
-    p_eval.set_defaults(func=_scored(lambda args: load_corpus(args.root)))
 
     p_agree = sub.add_parser("agreement", parents=[common],
                              help="reference agreement measures only")
     p_agree.add_argument("root", type=Path, help="corpus root directory")
-    p_agree.set_defaults(func=lambda args: _cmd_corpus(
-        args, evaluate_agreement, render_agreement, load_corpus(args.root)))
 
     p_score = sub.add_parser("score", parents=[common, scoring],
                              help="score one document given explicit files")
@@ -110,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--sys", dest="system_files", action="append", type=Path,
                          metavar="PATH", help="system output (repeatable)")
     p_score.add_argument("--doc-id", default="doc", help="document id for the report")
-    p_score.set_defaults(func=_scored(
-        lambda args: named_files(args.doc_id, args.ref_files, args.system_files or ())))
 
     return parser
 
@@ -119,7 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if args.command == "agreement":
+            evaluate, render = evaluate_agreement, render_agreement
+        else:
+            evaluate, render = partial(evaluate_corpus, config=_config(args)), render_report
+        layout = (named_files(args.doc_id, args.ref_files, args.system_files or ())
+                  if args.command == "score" else load_corpus(args.root))
+        _stderr("warnings", layout.warnings)
+        report = evaluate(layout)
+        _write(render(report, args.format), args.output)
+        _stderr("errors", [e._asdict() for e in report.errors])
+        return 1 if report.errors else 0
     except USER_ERRORS as exc:
         _stderr("errors", [DocumentError(None, type(exc).__name__, str(exc))._asdict()])
         return 2

@@ -2,13 +2,20 @@ import os
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 settings.register_profile(
     "ci",
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+)
+# `tests/mutants.py` runs with this one: a killed mutant needs only the
+# failure, and shrinking it took most of the list's time.
+settings.register_profile(
+    "mutants",
+    parent=settings.get_profile("ci"),
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 settings.load_profile("ci")
 

@@ -4,7 +4,9 @@
 
 Each mutant replaces one piece of text in one file of a temporary copy of
 the repository and runs only its named tests there; it is killed when
-every one of them fails.  The named tests first run on the unmutated
+every one of them fails.  The tests run under the `mutants` Hypothesis
+profile of `tests/conftest.py`, which does not shrink a failing example:
+only the failure counts here.  The named tests first run on the unmutated
 copy, where they must all pass.  One line is printed per mutant, and the
 exit code is 1 if any mutant survives.  `tests/test_mutants.py` checks,
 without running a mutant, that each old text occurs exactly once in its
@@ -96,6 +98,48 @@ MUTANTS = (
            "limit = min(separation_limit, general.n)",
            "limit = min(separation_limit + 1, general.n)",
            ("tests/test_kernel.py::test_kernel_matches_oracles_across_digits",)),
+    Mutant("vote profile counted upward", "src/wisebe/aggregation.py",
+           "for d in range(refs.m, 0, -1):", "for d in range(1, refs.m + 1):",
+           ("tests/test_aggregation.py::test_general_reference_counts_votes",
+            "tests/test_agreement.py::test_kappa_hand_computed_value")),
+    Mutant("span fill one step short", "src/wisebe/aggregation.py",
+           "span |= (voted << (limit + 1 - b)) & after", "span |= (voted << (limit - b)) & after",
+           ("tests/test_aggregation.py::test_windows_match_regex_oracle",
+            "tests/test_kernel.py::test_kernel_matches_oracles_across_digits")),
+    Mutant("window carry ignores the candidate", "src/wisebe/scoring.py",
+           "missed = ((span & ~cand.mask) + starts) & ~span", "missed = (span + starts) & ~span",
+           ("tests/test_scoring.py::test_exact_hit_in_both_windows",
+            "tests/test_scoring.py::test_miss_one_window")),
+    Mutant("pb counts at_least[2] once", "src/wisebe/aggregation.py",
+           "return sum(sizes) + sum(sizes[:1])", "return sum(sizes)",
+           ("tests/test_aggregation.py::test_agreement_ratio_matches_counting_oracle",)),
+    Mutant("kappa's observed agreement counts ordered pairs with repeats",
+           "src/wisebe/aggregation.py", "(m - d) * (m - d - 1)", "(m - d) * (m - d)",
+           ("tests/test_agreement.py::test_kappa_hand_computed_value",
+            "tests/test_agreement.py::test_kappa_matches_textbook_oracle")),
+    Mutant("lenient drops unanimous boundaries", "src/wisebe/baselines.py",
+           "general.at_least[-1] | cand.mask & general.at_least[1]",
+           "cand.mask & general.at_least[1]",
+           ("tests/test_baselines.py::test_lenient_prf_misses_only_unanimous_boundaries",
+            "tests/test_kernel.py::test_lenient_prf_matches_set_oracle")),
+    Mutant("consensus one vote short", "src/wisebe/aggregation.py",
+           "return general.at_least[threshold]", "return general.at_least[threshold - 1]",
+           ("tests/test_aggregation.py::test_consensus_thresholds",
+            "tests/test_kernel.py::test_consensus_matches_counting_oracle")),
+    Mutant(".json references read in key order", "src/wisebe/corpus.py",
+           "for name in sorted(references)", "for name in references",
+           ("tests/test_end_to_end.py::"
+            "test_reports_are_invariant_under_layout_order_labels_and_other_systems",)),
+    Mutant(".json systems read in key order", "src/wisebe/corpus.py",
+           "for name in sorted(systems)", "for name in systems",
+           ("tests/test_end_to_end.py::"
+            "test_reports_are_invariant_under_layout_order_labels_and_other_systems",)),
+    Mutant("corpus read before the options are checked", "src/wisebe/cli.py",
+           'if args.command == "agreement":',
+           "layout = (named_files(args.doc_id, args.ref_files, args.system_files or ())\n"
+           '                  if args.command == "score" else load_corpus(args.root))\n'
+           '        if args.command == "agreement":',
+           ("tests/test_cli.py::test_option_out_of_range_exits_two",)),
 )
 
 
@@ -104,7 +148,8 @@ def _run_tests(copy: Path, tests) -> tuple[int, list[str]]:
     that neither failed nor errored."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-                           *tests], cwd=copy, env=env, capture_output=True, text=True)
+                           "--hypothesis-profile=mutants", *tests],
+                          cwd=copy, env=env, capture_output=True, text=True)
     # "FAILED file::test[params] - message", or "ERROR file - message" when
     # the file did not import.
     red = {line.split()[1].split("[")[0] for line in proc.stdout.splitlines()

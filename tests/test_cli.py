@@ -53,13 +53,18 @@ def test_environment_does_not_change_the_report(demo_corpus, tmp_path, monkeypat
     assert with_env == default
 
 
-@pytest.mark.parametrize("option, value, kind, message", [
-    ("--window-limit", "-1", "ValueError", "window limit must be >= 0, got -1"),
+# The options are checked before the corpus is read, so a missing root
+# still gives the option's error.
+@pytest.mark.parametrize("option, value, kind, message, root", [
+    ("--window-limit", "-1", "ValueError", "window limit must be >= 0, got -1", None),
     # No document can accept it, so it fails once, not once per document.
-    ("--threshold", "0", "BadThreshold", "threshold must be >= 1, got 0"),
-], ids=["window-limit", "threshold"])
-def test_option_out_of_range_exits_two(demo_corpus, tmp_path, option, value, kind, message):
-    code, _, err = run_cli(["eval", str(demo_corpus), option, value], tmp_path / "out")
+    ("--threshold", "0", "BadThreshold", "threshold must be >= 1, got 0", None),
+    ("--window-limit", "-1", "ValueError", "window limit must be >= 0, got -1", "missing"),
+    ("--threshold", "0", "BadThreshold", "threshold must be >= 1, got 0", "missing"),
+], ids=["window-limit", "threshold", "window-limit-missing-root", "threshold-missing-root"])
+def test_option_out_of_range_exits_two(demo_corpus, tmp_path, option, value, kind, message, root):
+    root = tmp_path / root if root else demo_corpus
+    code, _, err = run_cli(["eval", str(root), option, value], tmp_path / "out")
     assert code == 2
     [error] = json.loads(err)["errors"]
     assert error == {"doc_id": None, "kind": kind, "message": message}
