@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .aggregation import DEFAULT_WINDOW_LIMIT
 from .corpus import load_corpus, named_files
-from .errors import USER_ERRORS, BadThreshold
+from .errors import USER_ERRORS
 from .report import (REPORT_FORMATS, DocumentError, EvalConfig,
                      evaluate_agreement, evaluate_corpus, render_agreement,
                      render_report)
@@ -40,15 +40,6 @@ def _write(data: bytes, output: Path | None):
         sys.stdout.buffer.flush()
     else:
         output.write_bytes(data)
-
-
-def _config(args) -> EvalConfig:
-    if args.window_limit < 0:
-        raise ValueError(f"window limit must be >= 0, got {args.window_limit}")
-    if args.threshold is not None and args.threshold < 1:
-        raise BadThreshold(f"threshold must be >= 1, got {args.threshold}")
-    return EvalConfig(window_limit=args.window_limit, baselines=args.baselines,
-                      consensus_threshold=args.threshold)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +92,8 @@ def main(argv=None) -> int:
         if args.command == "agreement":
             evaluate, render = evaluate_agreement, render_agreement
         else:
-            evaluate, render = partial(evaluate_corpus, config=_config(args)), render_report
+            config = EvalConfig(args.window_limit, args.baselines, args.threshold)
+            evaluate, render = partial(evaluate_corpus, config=config), render_report
         layout = (named_files(args.doc_id, args.ref_files, args.system_files or ())
                   if args.command == "score" else load_corpus(args.root))
         _stderr("warnings", layout.warnings)

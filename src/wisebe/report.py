@@ -14,17 +14,26 @@ from .agreement import CorrelationResult, pearson
 from .baselines import (PRF, lenient_prf, mask_prf, mean_prf, mean_ser,
                         strict_prf)
 from .corpus import CorpusLayout, Document, load_document
-from .errors import USER_ERRORS, ConstantSequence, UnknownFormat
+from .errors import USER_ERRORS, BadThreshold, ConstantSequence, UnknownFormat
 from .model import check_aligned
 from .scoring import WisebeScore, arithmetic_mean, mean_defined, window_score
 
 MEAN_ROW_ID = "mean"
 
 
-class EvalConfig(NamedTuple):
-    window_limit: int = DEFAULT_WINDOW_LIMIT
-    baselines: bool = False
-    consensus_threshold: int | None = None
+class EvalConfig(NamedTuple("EvalConfig", [("window_limit", int), ("baselines", bool),
+                                             ("consensus_threshold", int | None)])):
+    __slots__ = ()
+
+    def __new__(cls, window_limit: int = DEFAULT_WINDOW_LIMIT, baselines: bool = False,
+                consensus_threshold: int | None = None):
+        if window_limit < 0:
+            raise ValueError(f"window limit must be >= 0, got {window_limit}")
+        if consensus_threshold is not None and consensus_threshold < 1:
+            raise BadThreshold(f"threshold must be >= 1, got {consensus_threshold}")
+        return tuple.__new__(cls, (window_limit, baselines, consensus_threshold))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))    # as Transcript._make
 
 
 class SystemRow(NamedTuple):

@@ -61,7 +61,7 @@ MUTANTS = (
            ("tests/test_model.py::test_transcript_rejects_delimiter_inside_token",
             "tests/test_model.py::test_transcript_validation_matches_the_token_loop")),
     Mutant("bit check accepts 2", "src/wisebe/model.py",
-           r'if flags.translate(None, b"\x00\x01"):', r'if flags.translate(None, b"\x00\x01\x02"):',
+           '_TO_DIGITS = b"01".ljust(256, b"2")', '_TO_DIGITS = b"011".ljust(256, b"2")',
            ("tests/test_model.py::test_boundary_vector_validates_bits",)),
     Mutant("unchecked parse accepts token-free text", "src/wisebe/model.py",
            "Transcript(doc_id, ())      # raises EmptyTranscript", "pass",
@@ -140,6 +140,18 @@ MUTANTS = (
            '                  if args.command == "score" else load_corpus(args.root))\n'
            '        if args.command == "agreement":',
            ("tests/test_cli.py::test_option_out_of_range_exits_two",)),
+    Mutant("window limit -1 accepted", "src/wisebe/report.py",
+           "if window_limit < 0:", "if window_limit < -1:",
+           ("tests/test_cli.py::test_option_out_of_range_exits_two",
+            "tests/test_report.py::test_out_of_range_options_fail_before_any_document")),
+    Mutant("threshold 0 accepted", "src/wisebe/report.py",
+           "consensus_threshold < 1:", "consensus_threshold < 0:",
+           ("tests/test_cli.py::test_option_out_of_range_exits_two",
+            "tests/test_report.py::test_out_of_range_options_fail_before_any_document")),
+    Mutant("any origin accepted", "src/wisebe/model.py",
+           "if origin not in _ORIGINS:", 'if origin not in (*_ORIGINS, "guess"):',
+           ("tests/test_model.py::test_boundary_vector_validates_bits",
+            "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
 )
 
 

@@ -13,15 +13,16 @@ permute the rows that name a reference.  Adding a system may change no
 other system's rows.  `score` on one document's files must report what
 `eval` reports on a root holding only that document.  In process, every
 value of the report equals its exact-fraction recomputation by the
-independent oracles, at full precision and as the json and csv reports
-print it, the order in which documents are read changes no value, and at
-window limit 0 the windows are the voted positions.
+independent oracles, at full precision and as the json, csv and table
+reports print it, the order in which documents are read changes no value,
+and at window limit 0 the windows are the voted positions.
 """
 
 import csv
 import io
 import json
 import random
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -229,6 +230,12 @@ PRINTED = {"precision": "mean.precision", "recall": "mean.recall", "f1": "mean.f
            "consensus_recall": "consensus.recall", "consensus_f1": "consensus.f1"}
 
 
+# Table headers that differ from the json and csv column names.
+TABLE_HEADERS = {"lenient_p": "lenient_precision", "lenient_r": "lenient_recall",
+                 "consensus_p": "consensus_precision", "consensus_r": "consensus_recall"}
+PRF_NAMES = ("precision", "recall", "f1")
+
+
 def _get(row, path):
     for attr in path.split("."):
         row = getattr(row, attr)
@@ -280,6 +287,27 @@ def _printed(value):
     return [round(float(value) + d, 3) for d in (-1e-12, 0.0, 1e-12)]
 
 
+def _printed_cells(value):
+    """The cells a csv or table report may print for an exact value."""
+    return ["" if p is None else f"{p:.3f}" for p in _printed(value)]
+
+
+def _check_table_section(table, title, keys, value):
+    """Each row of a table section starts with its key's cells, in `keys`
+    order, and every other cell prints what `value(key, header)` may print.
+    Cells are read at their header's column offset, as a blank cell is
+    only spaces."""
+    section = next(s for s in table.split("\n\n") if s.startswith(f"== {title} ==\n"))
+    header, *rows = section.split("\n")[1:]
+    starts = [m.start() for m in re.finditer(r"\S+", header)]
+    assert len(rows) == len(keys), title
+    for key, line in zip(keys, rows):
+        cells = [line[a:b].strip() for a, b in zip(starts, [*starts[1:], None])]
+        assert cells[:len(key)] == list(key), (title, key)
+        for column, cell in zip(header.split()[len(key):], cells[len(key):]):
+            assert cell in _printed_cells(value(key, column)), (title, key, column)
+
+
 def _assert_close(actual, expected):
     if expected is None:
         assert actual is None
@@ -304,6 +332,7 @@ def test_report_values_equal_exact_fractions(corpus):
     assert [d.doc_id for d in report.documents] == [doc.doc_id for doc in scored]
     rows = {(row.doc_id, row.system): row for row in report.rows}
     expected = {}    # {(doc id, system): {value path: exact value}}, mean rows included
+    exact_prfs = {}  # {(doc id, system, reference label or "mean"): {"precision": ..., ...}}
     by_system = {}
     for doc, summary in zip(scored, report.documents):
         assert summary.agreement_ratio == float(agreement_ratio_by_counting(doc.refs)[2])
@@ -324,6 +353,9 @@ def test_report_values_equal_exact_fractions(corpus):
                 _assert_close(_get(row, path), values[path])
             by_system.setdefault(system, []).append(values)
             expected[doc.doc_id, system] = values
+            for label, prf in strict.items():
+                exact_prfs[doc.doc_id, system, label] = dict(zip(PRF_NAMES, prf[3:]))
+            exact_prfs[doc.doc_id, system, "mean"] = {n: values[f"mean.{n}"] for n in PRF_NAMES}
     assert [row.system for row in report.aggregates] == sorted(by_system)
     for row in report.aggregates:
         means = {path: _mean([v[path] for v in by_system[row.system]])
@@ -340,10 +372,20 @@ def test_report_values_equal_exact_fractions(corpus):
         assert (line["doc_id"], line["system"]) == key
         assert set(record) == set(line) == {"doc_id", "system", *PRINTED}
         for column, path in PRINTED.items():
-            printed = _printed(expected[key][path])
-            assert record[column] in printed, (key, column)
-            cells = ["" if p is None else f"{p:.3f}" for p in printed]
-            assert line[column] in cells, (key, column)
+            assert record[column] in _printed(expected[key][path]), (key, column)
+            assert line[column] in _printed_cells(expected[key][path]), (key, column)
+    # ... and as the table prints them.
+    if report.rows:    # else the table has no score sections
+        table = render_report(report, "table").decode()
+        _check_table_section(table, "exact-position scores",
+                             [(r.doc_id, r.system, label) for r in report.rows
+                              for label in (*(label for label, _ in r.per_reference), "mean")],
+                             lambda key, column: exact_prfs[key][column])
+        for title, items in (("windowed scores", report.rows + report.aggregates),
+                             ("baseline scores", report.rows)):
+            _check_table_section(table, title, [(r.doc_id, r.system) for r in items],
+                                 lambda key, column: expected[key][
+                                     PRINTED[TABLE_HEADERS.get(column, column)]])
     # Pearson's r of (agreement ratio, kappa) over the documents with a kappa.
     pairs = [(agreement_ratio_by_counting(doc.refs)[2], kappa) for doc in scored
              if (kappa := fleiss_kappa_by_table(doc.refs)) is not None]

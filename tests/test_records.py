@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from wisebe import (CANDIDATE, PRF, BoundaryVector, EmptyTranscript,
+from wisebe import (CANDIDATE, PRF, BadThreshold, BoundaryVector, EmptyTranscript,
                     EvalConfig, MissingReferences, ReferenceSet, Transcript,
                     build_general_reference, build_window_reference,
                     evaluate_agreement, evaluate_corpus, load_corpus,
@@ -94,6 +94,8 @@ _VECTOR = BoundaryVector("d", (0, 1, 1))
         references=(_VECTOR,))),
     (EmptyTranscript, lambda: Transcript._make(("d", ()))),
     (ValueError, lambda: Transcript("d", ("a",))._replace(tokens=("a.",))),
+    (ValueError, lambda: EvalConfig()._replace(window_limit=-1)),
+    (BadThreshold, lambda: EvalConfig._make((2, False, 0))),
 ])
 def test_replace_and_make_run_the_constructor_checks(error, build):
     with pytest.raises(error):

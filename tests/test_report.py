@@ -5,7 +5,7 @@ from statistics import fmean
 
 import pytest
 
-from wisebe import (REPORT_FIELDS, AlignmentError, Document, EvalConfig,
+from wisebe import (REPORT_FIELDS, AlignmentError, BadThreshold, Document, EvalConfig,
                     Transcript, UnknownFormat, evaluate_agreement,
                     evaluate_corpus, evaluate_document, load_corpus,
                     load_document, render_agreement, render_report)
@@ -117,6 +117,22 @@ def test_document_failures_are_collected_not_fatal(tmp_path):
     assert report.correlation is None
     text = render_report(report, "table").decode()
     assert "document errors" in text
+
+
+@pytest.mark.parametrize("options, error, message", [
+    ({"window_limit": -1}, ValueError, "window limit must be >= 0, got -1"),
+    ({"consensus_threshold": 0}, BadThreshold, "threshold must be >= 1, got 0"),
+], ids=["window-limit", "threshold"])
+def test_out_of_range_options_fail_before_any_document(demo_corpus, monkeypatch,
+                                                       options, error, message):
+    # No document can accept them, so a library run fails once, with the
+    # command line's error, instead of once per document.
+    layout = load_corpus(demo_corpus)
+    monkeypatch.setattr("wisebe.report.load_document",
+                        lambda files: pytest.fail(f"document {files.doc_id!r} was read"))
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        evaluate_corpus(layout, EvalConfig(**options))
+    assert type(info.value) is error
 
 
 def test_evaluate_single_document(demo_corpus):
