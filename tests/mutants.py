@@ -47,10 +47,29 @@ MUTANTS = (
     Mutant("capital sigma lowered with the whole string", "src/wisebe/model.py",
            'text = text.replace("Σ", "σ").lower()', "text = text.lower()",
            ("tests/test_model.py::test_parse_lowers_capital_sigma_without_final_form",
-            "tests/test_model.py::test_scan_matches_character_oracle_on_tricky_characters")),
+            "tests/test_model.py::test_scan_matches_character_oracle_on_tricky_characters",
+            "tests/test_model.py::test_scan_matches_oracles_on_text_beyond_latin1")),
     Mutant("units split at ASCII whitespace only", "src/wisebe/model.py",
            "tokens += unit.split()", "tokens += [t.decode() for t in unit.encode().split()]",
-           ("tests/test_model.py::test_scan_matches_character_oracle_on_tricky_characters",)),
+           ("tests/test_model.py::test_scan_matches_character_oracle_on_tricky_characters",
+            "tests/test_model.py::test_scan_matches_oracles_on_latin1_text")),
+    Mutant("byte table lowers ASCII only", "src/wisebe/model.py",
+           'bytes(range(256)).decode("latin-1").lower()',
+           'bytes(range(256)).lower().decode("latin-1")',
+           ("tests/test_model.py::test_scan_matches_oracles_on_latin1_text",
+            "tests/test_model.py::test_latin1_table_is_the_per_character_lowering")),
+    Mutant("one-pass path keeps colons", "src/wisebe/model.py",
+           '_DELETE = "".join(INTERNAL_MARKS).encode("latin-1")', '_DELETE = b","',
+           ("tests/test_model.py::test_scan_matches_oracles_on_latin1_text",
+            "tests/test_model.py::test_latin1_table_is_the_per_character_lowering")),
+    Mutant("byte table keeps semicolons", "src/wisebe/model.py",
+           'dict.fromkeys(SU_DELIMITERS, ".")', 'dict.fromkeys(SU_DELIMITERS - {";"}, ".")',
+           ("tests/test_model.py::test_scan_matches_oracles_on_latin1_text",
+            "tests/test_model.py::test_latin1_table_is_the_per_character_lowering")),
+    Mutant("general path keeps semicolons", "src/wisebe/model.py",
+           "        for mark in SU_DELIMITERS:\n",
+           '        for mark in SU_DELIMITERS - {";"}:\n',
+           ("tests/test_model.py::test_scan_matches_oracles_on_text_beyond_latin1",)),
     Mutant("a leading run of marks also closes the first token", "src/wisebe/model.py",
            "del flags[len(tokens) + 1:], flags[0]",
            "flags[1] |= flags[0]\n    del flags[len(tokens) + 1:], flags[0]",

@@ -11,7 +11,7 @@ from wisebe import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
                     build_general_reference, build_window_reference,
                     wisebe_score)
 from wisebe.baselines import lenient_prf
-from wisebe.model import _scan, align
+from wisebe.model import _DELETE, _TABLE, INTERNAL_MARKS, SU_DELIMITERS, _scan, align
 from oracles import scan_by_characters, scan_by_regex, transcript_error_by_tokens
 from strategies import bit_lists, segmented_texts, tokens
 
@@ -98,6 +98,40 @@ def test_scan_matches_oracles_on_short_units(raw):
     assert_scan_matches_oracles(raw)
 
 
+# Text below U+0100 normalizes through _TABLE; one character above it
+# sends the whole text down the general path.  Any Latin-1 character is
+# drawn, and half of them from the Latin-1 part of SCAN_ALPHABET plus
+# capitals, so every mark turns up in most examples.
+LATIN1_TEXT = st.text(st.one_of(
+    st.characters(max_codepoint=0xFF),
+    st.sampled_from([ch for ch in SCAN_ALPHABET + "AÉÞ" if ch < "\u0100"])))
+
+
+@given(LATIN1_TEXT)
+def test_scan_matches_oracles_on_latin1_text(raw):
+    assert_scan_matches_oracles(raw)
+
+
+@given(st.data())
+def test_scan_matches_oracles_on_text_beyond_latin1(data):
+    text = data.draw(st.one_of(LATIN1_TEXT, st.text(alphabet=SCAN_ALPHABET, max_size=40)))
+    at = data.draw(st.integers(0, len(text)))
+    wide = data.draw(st.sampled_from("Σ\u2028\ufeff\u2019"))
+    assert_scan_matches_oracles(text[:at] + wide + text[at:])
+
+
+def test_latin1_table_is_the_per_character_lowering():
+    """The premise of the one-pass path: every character below U+0100
+    lowers to one character below U+0100 that is no sigma, so no
+    Final_Sigma context arises and a byte table gives what lower() gives."""
+    lowered = [chr(c).lower() for c in range(256)]
+    for c, low in enumerate(lowered):
+        assert len(low) == 1 and ord(low) < 0x100 and low not in "σς", hex(c)
+    assert _TABLE == bytes(ord("." if chr(c) in SU_DELIMITERS else low)
+                           for c, low in enumerate(lowered))
+    assert sorted(_DELETE) == sorted(map(ord, INTERNAL_MARKS))
+
+
 def _built(call):
     """What `call` returns, with the exact type of each part, or the type
     and message of what it raises."""
@@ -110,10 +144,10 @@ def _built(call):
 @given(st.one_of(st.text(alphabet=SCAN_ALPHABET, max_size=40), st.text()),
        st.sampled_from((REFERENCE, CANDIDATE, "system")))
 def test_parse_skips_checks_that_scan_output_always_passes(raw, origin):
-    """parse_segmented_text skips only the Transcript checks, which cost
-    about 15% of a `text_eval` benchmark run, so it must give what the
-    checked constructors give on _scan's output, and raise what they
-    raise: token-free text fails before a bad origin."""
+    """parse_segmented_text skips only the Transcript checks, which would
+    make a `text_eval` benchmark run about 19% slower, so it must give
+    what the checked constructors give on _scan's output, and raise what
+    they raise: token-free text fails before a bad origin."""
     def checked():
         tokens, flags = _scan(raw)
         return Transcript("d", tokens), BoundaryVector("d", flags, origin, "ref_1")
@@ -134,12 +168,16 @@ def test_parse_unit_edge_cases(raw, words, bits):
     assert vector.bits == bits
 
 
-def test_scan_is_linear_in_delimiter_runs():
-    raw = "." * 10**6 + " word"
+@pytest.mark.parametrize("tail, words", [
+    pytest.param(" word", ("word",), id="latin1"),      # normalized by the byte table
+    pytest.param(" wordΣ", ("wordσ",), id="general"),   # the general path
+])
+def test_scan_is_linear_in_delimiter_runs(tail, words):
+    raw = "." * 10**6 + tail
     start = time.perf_counter()
     transcript, vector = parse_segmented_text(raw, "d")
     assert time.perf_counter() - start < 1.0
-    assert transcript.tokens == ("word",)
+    assert transcript.tokens == words
     assert vector.bits == (0,)
 
 
