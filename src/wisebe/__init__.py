@@ -17,9 +17,8 @@ from .errors import (AlignmentError, BadThreshold, ConstantSequence,
                      WisebeError)
 from .model import (CANDIDATE, REFERENCE, BoundaryVector, ReferenceSet,
                     Transcript, parse_segmented_text, to_segmented_text)
-from .report import (REPORT_FIELDS, EvalConfig, evaluate_agreement,
-                     evaluate_corpus, evaluate_document, render_agreement,
-                     render_report)
+from .report import (EvalConfig, evaluate_agreement, evaluate_corpus,
+                     evaluate_document, render_agreement, render_report)
 from .scoring import (combine_score, harmonic_f1, windowed_precision,
                       windowed_recall, wisebe_score)
 
@@ -29,12 +28,12 @@ __all__ = [
     "AlignmentError", "BadThreshold", "BoundaryVector", "CANDIDATE",
     "ConstantSequence", "DegenerateAgreement", "Document", "DuplicateLabel",
     "EmptyTranscript", "EvalConfig", "GeneralReference", "MissingReferences",
-    "NoBoundaries", "PRF", "REFERENCE", "REPORT_FIELDS", "ReferenceSet",
-    "Transcript", "UnknownFormat", "WindowReference", "WisebeError",
+    "NoBoundaries", "PRF", "REFERENCE", "ReferenceSet", "Transcript",
+    "UnknownFormat", "WindowReference", "WisebeError",
     "build_general_reference", "build_window_reference", "combine_score",
     "evaluate_agreement", "evaluate_corpus", "evaluate_document",
     "fleiss_kappa", "harmonic_f1", "load_corpus", "load_document",
     "parse_segmented_text", "pearson", "render_agreement", "render_report",
-    "strict_prf", "to_segmented_text", "windowed_precision",
-    "windowed_recall", "wisebe_score",
+    "strict_prf", "to_segmented_text", "windowed_precision", "windowed_recall",
+    "wisebe_score",
 ]

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import DuplicateLabel
 from .model import (CANDIDATE, REFERENCE, BoundaryVector, ReferenceSet,
-                    Transcript, align, parse_segmented_text)
+                    Transcript, align, check_aligned, parse_segmented_text)
 
 REF_PREFIX = "ref_"
 SYS_PREFIX = "sys_"
@@ -47,13 +47,19 @@ class CorpusLayout(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-class Document(NamedTuple):
+class Document(NamedTuple("Document", [("transcript", Transcript), ("references", ReferenceSet),
+                                       ("candidates", tuple[tuple[str, BoundaryVector], ...])])):
     """One document, scored in the order it holds its segmentations.
-    Scoring checks that its references cover its transcript."""
+    Building one checks that its references cover its transcript."""
 
-    transcript: Transcript
-    references: ReferenceSet
-    candidates: tuple[tuple[str, BoundaryVector], ...]
+    __slots__ = ()
+
+    def __new__(cls, transcript: Transcript, references: ReferenceSet, candidates):
+        check_aligned(references, transcript, f"references of document {transcript.doc_id!r}",
+                      strict_doc_id=True)
+        return tuple.__new__(cls, (transcript, references, candidates))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))    # as Transcript._make
 
     @property
     def doc_id(self) -> str:

@@ -92,18 +92,16 @@ class BoundaryVector(NamedTuple("BoundaryVector", [("doc_id", str), ("origin", s
             raise ValueError(f"origin must be one of {_ORIGINS}, got {origin!r}")
         return tuple.__new__(cls, (doc_id, origin, label, len(flags), mask))
 
-    def __getnewargs__(self):
-        # copy and pickle rebuild a vector through __new__, which takes bits.
-        return self.doc_id, mask_flags(self.mask, self.n), self.origin, self.label
-
     @classmethod
     def _make(cls, fields):
-        # Rebuilt from bits, so _replace and _make run __new__'s checks.
+        # Rebuilt from bits, so _replace, _make, copy and pickle run __new__'s checks.
         doc_id, origin, label, n, mask = fields
         flags = mask_flags(mask, n)
         if len(flags) != n:
             raise ValueError(f"mask {mask!r} does not fit {n!r} positions")
         return cls(doc_id, flags, origin, label)
+
+    __reduce__ = lambda self: (type(self)._make, (tuple(self),))
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(doc_id={self.doc_id!r}, origin={self.origin!r}, "

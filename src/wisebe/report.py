@@ -15,7 +15,6 @@ from .baselines import (PRF, lenient_prf, mask_prf, mean_prf, mean_ser,
                         strict_prf)
 from .corpus import CorpusLayout, Document, load_document
 from .errors import USER_ERRORS, BadThreshold, ConstantSequence, UnknownFormat
-from .model import check_aligned
 from .scoring import WisebeScore, arithmetic_mean, mean_defined, window_score
 
 MEAN_ROW_ID = "mean"
@@ -81,8 +80,6 @@ class EvaluationReport(NamedTuple):
 
 def _summarize(doc: Document) -> tuple[GeneralReference, DocumentSummary]:
     """A document's vote profile and its summary."""
-    check_aligned(doc.references, doc.transcript, f"references of document {doc.doc_id!r}",
-                  strict_doc_id=True)
     general = build_general_reference(doc.references)
     return general, DocumentSummary(
         doc.doc_id, general.ar, general.kappa,
@@ -215,7 +212,6 @@ COLUMNS = (
     Column("consensus_recall", "consensus_r", "consensus.recall", "consensus"),
     Column("consensus_f1", "consensus_f1", "consensus.f1", "consensus"),
 )
-REPORT_FIELDS = tuple(c.name for c in COLUMNS if c.group is None)
 
 # Per-document reference agreement, from DocumentSummary.
 AGREEMENT_COLUMNS = (

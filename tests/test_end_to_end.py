@@ -292,13 +292,18 @@ def _printed_cells(value):
     return ["" if p is None else f"{p:.3f}" for p in _printed(value)]
 
 
-def _check_table_section(table, title, keys, value):
+def _section_lines(table, title):
+    """The header and row lines of a table section."""
+    section = next(s for s in table.split("\n\n") if s.startswith(f"== {title} ==\n"))
+    return section.rstrip("\n").split("\n")[1:]
+
+
+def _check_table_section(title, lines, keys, value):
     """Each row of a table section starts with its key's cells, in `keys`
     order, and every other cell prints what `value(key, header)` may print.
     Cells are read at their header's column offset, as a blank cell is
     only spaces."""
-    section = next(s for s in table.split("\n\n") if s.startswith(f"== {title} ==\n"))
-    header, *rows = section.split("\n")[1:]
+    header, *rows = lines
     starts = [m.start() for m in re.finditer(r"\S+", header)]
     assert len(rows) == len(keys), title
     for key, line in zip(keys, rows):
@@ -375,15 +380,17 @@ def test_report_values_equal_exact_fractions(corpus):
             assert record[column] in _printed(expected[key][path]), (key, column)
             assert line[column] in _printed_cells(expected[key][path]), (key, column)
     # ... and as the table prints them.
+    table = render_report(report, "table").decode()
     if report.rows:    # else the table has no score sections
-        table = render_report(report, "table").decode()
-        _check_table_section(table, "exact-position scores",
+        title = "exact-position scores"
+        _check_table_section(title, _section_lines(table, title),
                              [(r.doc_id, r.system, label) for r in report.rows
                               for label in (*(label for label, _ in r.per_reference), "mean")],
                              lambda key, column: exact_prfs[key][column])
         for title, items in (("windowed scores", report.rows + report.aggregates),
                              ("baseline scores", report.rows)):
-            _check_table_section(table, title, [(r.doc_id, r.system) for r in items],
+            _check_table_section(title, _section_lines(table, title),
+                                 [(r.doc_id, r.system) for r in items],
                                  lambda key, column: expected[key][
                                      PRINTED[TABLE_HEADERS.get(column, column)]])
     # Pearson's r of (agreement ratio, kappa) over the documents with a kappa.
@@ -392,9 +399,26 @@ def test_report_values_equal_exact_fractions(corpus):
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     if len(set(xs)) < 2 or len(set(ys)) < 2:
         assert report.correlation is None
+        pearson_lines = ["pearson r: not computed (needs two varying documents)"]
     else:
         assert report.correlation.sample_count == len(xs)
         _assert_close(report.correlation.pcc, pearson_by_moments(xs, ys))
+        pearson_lines = [f"pearson r = {cell} over {len(xs)} documents"
+                         for cell in _printed_cells(pearson_by_moments(xs, ys))]
+    # The table's per-document sections, which a document has with no system too.
+    if scored:    # else the table has neither
+        title = "reference agreement"
+        *lines, pearson_line = _section_lines(table, title)
+        assert pearson_line in pearson_lines
+        oracles = {doc.doc_id: {"agreement_ratio": agreement_ratio_by_counting(doc.refs)[2],
+                                "kappa": fleiss_kappa_by_table(doc.refs)} for doc in scored}
+        _check_table_section(title, lines, [(doc.doc_id,) for doc in scored],
+                             lambda key, column: oracles[key[0]][column])
+        assert [line.split() for line in _section_lines(table, "boundary counts")] == [
+            ["doc", "source", "boundaries"],
+            *([doc.doc_id, label, str(sum(bits))] for doc in scored
+              for label, bits in (*sorted(zip(doc.labels, doc.refs)),
+                                  *sorted(doc.systems.items())))]
 
 
 def _renamed(report, back):

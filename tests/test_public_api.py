@@ -16,10 +16,11 @@ import pytest
 
 import wisebe
 from conftest import REPO_ROOT
+from mutants import MUTANTS
 from wisebe import errors
 from wisebe.cli import build_parser
 
-MAX_EXPORTS = 40
+MAX_EXPORTS = 39
 
 
 def _names_imported_from_wisebe(path):
@@ -68,6 +69,11 @@ def test_names_in_the_readme_resolve(dotted):
 def test_readme_counts_the_exported_names():
     assert re.findall(r"`wisebe\.__all__` holds (\d+) names", README) == [
         str(len(wisebe.__all__))]
+
+
+def test_readme_counts_the_mutants():
+    assert re.findall(r"applies\s+each\s+of\s+(\d+)\s+hand-made\s+mutants", README) == [
+        str(len(MUTANTS))]
 
 
 def test_readme_lists_exactly_the_exported_names():

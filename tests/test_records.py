@@ -6,8 +6,9 @@ import pickle
 
 import pytest
 
-from wisebe import (CANDIDATE, PRF, BadThreshold, BoundaryVector, EmptyTranscript,
-                    EvalConfig, MissingReferences, ReferenceSet, Transcript,
+from wisebe import (CANDIDATE, PRF, AlignmentError, BadThreshold, BoundaryVector,
+                    Document, EmptyTranscript, EvalConfig, MissingReferences,
+                    ReferenceSet, Transcript,
                     build_general_reference, build_window_reference,
                     evaluate_agreement, evaluate_corpus, load_corpus,
                     load_document)
@@ -83,6 +84,7 @@ def test_record_reprs_are_pinned():
 
 
 _VECTOR = BoundaryVector("d", (0, 1, 1))
+_DOC = Document(Transcript("d", ("a", "b", "c")), ReferenceSet("d", (_VECTOR, _VECTOR)), ())
 
 
 @pytest.mark.parametrize("error, build", [
@@ -96,6 +98,8 @@ _VECTOR = BoundaryVector("d", (0, 1, 1))
     (ValueError, lambda: Transcript("d", ("a",))._replace(tokens=("a.",))),
     (ValueError, lambda: EvalConfig()._replace(window_limit=-1)),
     (BadThreshold, lambda: EvalConfig._make((2, False, 0))),
+    (AlignmentError, lambda: _DOC._replace(transcript=Transcript("x", ("a", "b", "c")))),
+    (AlignmentError, lambda: Document._make((Transcript("d", ("a",)), _DOC.references, ()))),
 ])
 def test_replace_and_make_run_the_constructor_checks(error, build):
     with pytest.raises(error):
@@ -112,3 +116,5 @@ def test_replace_and_make_keep_valid_records():
     assert ReferenceSet._make(refs) == refs and refs._replace(doc_id="d") == refs
     transcript = Transcript("d", ("a", "b", "c"))
     assert transcript._replace(doc_id="e") == Transcript("e", ("a", "b", "c"))
+    doc = Document(transcript, refs, (("S", vector),))
+    assert Document._make(doc) == doc and doc._replace(candidates=()) == (transcript, refs, ())

@@ -1,16 +1,21 @@
 import json
 import re
 import shutil
+from operator import attrgetter
 from statistics import fmean
 
 import pytest
 
-from wisebe import (REPORT_FIELDS, AlignmentError, BadThreshold, Document, EvalConfig,
+from wisebe import (AlignmentError, BadThreshold, Document, EvalConfig,
                     Transcript, UnknownFormat, evaluate_agreement,
                     evaluate_corpus, evaluate_document, load_corpus,
                     load_document, render_agreement, render_report)
 from wisebe.report import EvaluationReport
 from strategies import reference_set, write_files
+
+# The json and csv fields of a report with no baseline columns, as README lists them.
+FIELDS = ("doc_id", "system", "precision", "recall", "f1", "f1_mean", "f1_rw",
+          "agreement_ratio", "wisebe", "kappa")
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +51,24 @@ def test_aggregates_use_full_precision_values(demo_report):
     assert s1.kappa == pytest.approx(fmean(r.kappa for r in rows), abs=1e-15)
 
 
+def test_mean_rows_average_the_baselines_of_every_document(demo_corpus):
+    report = evaluate_corpus(load_corpus(demo_corpus),
+                             EvalConfig(baselines=True, consensus_threshold=2))
+    for mean in report.aggregates:
+        rows = [r for r in report.rows if r.system == mean.system]
+        assert len(rows) == 4
+        for value in map(attrgetter, ("mean_ser", "lenient.f1", "consensus.f1")):
+            assert value(mean) == pytest.approx(fmean(map(value, rows)), abs=1e-15)
+
+
 def test_json_schema_and_rounding(demo_report):
     records = json.loads(render_report(demo_report, "json"))
     assert isinstance(records, list)
     # 8 system rows plus one mean row per system
     assert len(records) == 10
     for record in records:
-        assert tuple(record) == REPORT_FIELDS
-        for key in REPORT_FIELDS[2:]:
+        assert tuple(record) == FIELDS
+        for key in FIELDS[2:]:
             assert record[key] == round(record[key], 3)
     assert records[-2]["doc_id"] == "mean"
     by_key = {(r["doc_id"], r["system"]): r for r in records}
@@ -64,7 +79,7 @@ def test_json_schema_and_rounding(demo_report):
 
 def test_csv_round_trips_the_same_fields(demo_report):
     lines = render_report(demo_report, "csv").decode().splitlines()
-    assert lines[0] == ",".join(REPORT_FIELDS)
+    assert lines[0] == ",".join(FIELDS)
     assert len(lines) == 11
     first = lines[1].split(",")
     assert first[0] == "v1"
@@ -102,7 +117,7 @@ def test_empty_corpus_renders_valid_empty_outputs(tmp_path):
     report = evaluate_corpus(load_corpus(tmp_path))
     assert json.loads(render_report(report, "json")) == []
     lines = render_report(report, "csv").decode().splitlines()
-    assert lines == [",".join(REPORT_FIELDS)]
+    assert lines == [",".join(FIELDS)]
     assert b"nothing evaluated" in render_report(report, "table")
 
 
@@ -161,10 +176,9 @@ def test_rows_keep_the_documents_order(demo_corpus):
 ], ids=["length", "doc_id"])
 def test_references_must_cover_the_transcript(tokens, mismatch):
     # a Document built directly is checked as a loaded one is
-    doc = Document(Transcript("x", tokens), reference_set((1, 0, 1), (0, 0, 1)), ())
     with pytest.raises(AlignmentError,
                        match=f"^references of document 'x': {re.escape(mismatch)}$"):
-        evaluate_document(doc)
+        Document(Transcript("x", tokens), reference_set((1, 0, 1), (0, 0, 1)), ())
 
 
 def test_agreement_report(demo_corpus):
