@@ -63,10 +63,17 @@ class GeneralReference(NamedTuple):
         rate boundary / not: observed agreement is one integer over
         m(m - 1)n, chance agreement uses the pooled boundary share.  None
         when that share is 0 or 1, where the correction divides by zero."""
-        m, n, hist = self.m, self.n, self.histogram
-        observed = sum(h * (d * (d - 1) + (m - d) * (m - d - 1))
-                       for d, h in enumerate(hist)) / (m * (m - 1) * n)
-        share = sum(d * h for d, h in enumerate(hist)) / (n * m)
+        m, n = self.m, self.n
+        # A position with d votes is in at_least[1..d]: weights 1 and 2d - 1
+        # on their popcounts sum to d and d^2, and its ordered agreeing
+        # pairs d(d - 1) + (m - d)(m - d - 1) are 2d^2 - 2md + m(m - 1).
+        s1 = s2 = 0
+        for d in range(1, m + 1):
+            c = self.at_least[d].bit_count()
+            s1 += c
+            s2 += (2 * d - 1) * c
+        observed = (2 * s2 - 2 * m * s1 + m * (m - 1) * n) / (m * (m - 1) * n)
+        share = s1 / (n * m)
         expected = share * share + (1.0 - share) * (1.0 - share)
         return None if expected >= 1.0 else (observed - expected) / (1.0 - expected)
 

@@ -31,6 +31,7 @@ REF_PREFIX = "ref_"
 SYS_PREFIX = "sys_"
 TEXT_SUFFIX = ".txt"
 STRUCTURED_SUFFIX = ".json"
+READ_CHUNK = 1 << 16    # bytes per os.read call in _read_text
 
 
 class DocumentFiles(NamedTuple):
@@ -207,13 +208,22 @@ def _load_structured(path: Path, doc_id: str) -> Document:
 def _read_text(path: Path) -> str:
     """The text of a transcript or `.json` document, minus a leading UTF-8 BOM.
 
-    One unbuffered binary read, with no newline translation: a carriage
-    return is whitespace to the tokenizer and to JSON, so translating it
-    would change no token and only cost time.  A decode error names the
-    file and the offset of the bad byte in it, BOM included.
+    Bare `os.read` calls until end of file, with no newline translation:
+    a carriage return is whitespace to the tokenizer and to JSON, so
+    translating it would change no token and only cost time.  A directory
+    fails as `open` words it; a decode error names the file and the
+    offset of the bad byte in it, BOM included.
     """
-    with open(path, "rb", buffering=0) as file:
-        data = file.readall()
+    fd = os.open(path, os.O_RDONLY)
+    chunks = []
+    try:
+        while chunk := os.read(fd, READ_CHUNK):
+            chunks.append(chunk)
+    except IsADirectoryError as exc:
+        raise IsADirectoryError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    data = b"".join(chunks)    # one chunk is returned as it is, uncopied
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

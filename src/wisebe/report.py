@@ -183,10 +183,9 @@ class Column(NamedTuple):
     group: str | None = None
 
     def get(self, item):
-        value = item
-        for attr in self.path.split("."):
-            value = None if value is None else getattr(value, attr)
-        return value
+        head, _, tail = self.path.partition(".")    # paths have one or two levels
+        value = getattr(item, head)
+        return getattr(value, tail) if tail and value is not None else value
 
 
 # Row columns in report order.  json and csv carry every column of a

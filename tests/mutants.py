@@ -108,7 +108,8 @@ MUTANTS = (
            ("tests/test_records.py::test_replace_and_make_run_the_constructor_checks",)),
     Mutant("mean SER averaged over the first document only", "src/wisebe/report.py",
            "[r.mean_ser for r in group]", "[r.mean_ser for r in group[:1]]",
-           ("tests/test_report.py::test_mean_rows_average_the_baselines_of_every_document",)),
+           ("tests/test_report.py::test_mean_rows_average_the_baselines_of_every_document",
+            "tests/test_end_to_end.py::test_report_values_equal_exact_fractions")),
     Mutant("mean rows in the order systems are first seen", "src/wisebe/report.py",
            "for system, group in sorted(by_system.items())",
            "for system, group in by_system.items()",
@@ -139,10 +140,11 @@ MUTANTS = (
     Mutant("pb counts at_least[2] once", "src/wisebe/aggregation.py",
            "return sum(sizes) + sum(sizes[:1])", "return sum(sizes)",
            ("tests/test_aggregation.py::test_agreement_ratio_matches_counting_oracle",)),
-    Mutant("kappa's observed agreement counts ordered pairs with repeats",
-           "src/wisebe/aggregation.py", "(m - d) * (m - d - 1)", "(m - d) * (m - d)",
+    Mutant("kappa's squared votes weighted by d, not 2d - 1",
+           "src/wisebe/aggregation.py", "s2 += (2 * d - 1) * c", "s2 += d * c",
            ("tests/test_agreement.py::test_kappa_hand_computed_value",
-            "tests/test_agreement.py::test_kappa_matches_textbook_oracle")),
+            "tests/test_agreement.py::test_kappa_matches_textbook_oracle",
+            "tests/test_aggregation.py::test_kappa_from_popcounts_equals_the_histogram_kappa")),
     Mutant("lenient drops unanimous boundaries", "src/wisebe/baselines.py",
            "general.at_least[-1] | cand.mask & general.at_least[1]",
            "cand.mask & general.at_least[1]",
@@ -178,6 +180,12 @@ MUTANTS = (
            "if origin not in _ORIGINS:", 'if origin not in (*_ORIGINS, "guess"):',
            ("tests/test_model.py::test_boundary_vector_validates_bits",
             "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
+    Mutant("read stops after the first chunk", "src/wisebe/corpus.py",
+           "while chunk := os.read(fd, READ_CHUNK):", "if chunk := os.read(fd, READ_CHUNK):",
+           ("tests/test_corpus.py::test_read_text_matches_read_bytes_across_chunk_sizes",)),
+    Mutant("arithmetic_mean sums with plain sum", "src/wisebe/scoring.py",
+           "return fsum(values) / len(values)", "return sum(values) / len(values)",
+           ("tests/test_scoring.py::test_arithmetic_mean_equals_fmean",)),
 )
 
 

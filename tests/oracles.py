@@ -95,6 +95,20 @@ def fleiss_kappa_by_table(bit_rows):
     return (p_bar - p_e) / (1 - p_e)
 
 
+def fleiss_kappa_by_histogram(counts, m):
+    """Fleiss' kappa in floats from the histogram of votes per position,
+    as `GeneralReference.kappa` computed it before it read the popcounts:
+    the ordered agreeing pairs of each vote level, weighted by how many
+    positions have it.  None where the statistic is undefined."""
+    n = len(counts)
+    hist = [counts.count(d) for d in range(m + 1)]
+    observed = sum(h * (d * (d - 1) + (m - d) * (m - d - 1))
+                   for d, h in enumerate(hist)) / (m * (m - 1) * n)
+    share = sum(d * h for d, h in enumerate(hist)) / (n * m)
+    expected = share * share + (1.0 - share) * (1.0 - share)
+    return None if expected >= 1.0 else (observed - expected) / (1.0 - expected)
+
+
 def pearson_by_moments(xs, ys):
     n = len(xs)
     mean_x = sum(xs) / n

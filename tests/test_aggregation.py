@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from wisebe import (BadThreshold, DegenerateAgreement, GeneralReference, NoBoundaries,
@@ -9,7 +9,7 @@ from wisebe import (BadThreshold, DegenerateAgreement, GeneralReference, NoBound
 from wisebe.aggregation import consensus_reference
 from wisebe.baselines import lenient_prf
 from wisebe.model import mask_flags
-from oracles import agreement_ratio_by_counting, windows_by_regex
+from oracles import agreement_ratio_by_counting, fleiss_kappa_by_histogram, windows_by_regex
 from strategies import reference_set, reference_sets, vector
 
 
@@ -105,6 +105,30 @@ def test_agreement_ratio_matches_counting_oracle(refs):
     assert (general.pb, general.ha) == (pb, ha)
     assert general.ar == pytest.approx(float(ratio), abs=1e-15)
     assert 0.0 <= general.ar <= 1.0
+
+
+@st.composite
+def vote_counts(draw):
+    """(m, votes per position) for m = 2..6 references over up to 100
+    positions, so masks run past one 30-bit digit; about one profile in
+    five gives every position 0 or m votes, where kappa is undefined."""
+    m, n = draw(st.integers(2, 6)), draw(st.integers(1, 100))
+    if draw(st.integers(0, 4)) == 0:
+        return m, [draw(st.sampled_from((0, m)))] * n
+    return m, draw(st.lists(st.integers(0, m), min_size=n, max_size=n))
+
+
+@given(vote_counts())
+@example((2, [0] * 40))
+@example((6, [6] * 31))
+@example((3, [3, 0, 2, 1]))
+def test_kappa_from_popcounts_equals_the_histogram_kappa(profile):
+    """The popcount form sums the same integers as the histogram form,
+    so the two floats are equal, not merely close."""
+    m, counts = profile
+    expected = fleiss_kappa_by_histogram(counts, m)
+    assert _profile(counts, m).kappa == expected
+    assert (expected is None) == (set(counts) in ({0}, {m}))
 
 
 def test_consensus_thresholds():

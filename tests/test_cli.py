@@ -356,6 +356,22 @@ def test_score_rejects_duplicate_reference_labels(tmp_path):
     assert "reference label 'ref_1'" in error["message"]
 
 
+@pytest.mark.parametrize("name, kind, message", [
+    ("refs", "IsADirectoryError", "[Errno 21] Is a directory"),
+    ("ref_2.txt", "FileNotFoundError", "[Errno 2] No such file or directory"),
+])
+def test_score_names_an_unreadable_reference(tmp_path, name, kind, message):
+    """A --ref that is a directory or does not exist fails the document
+    with the error and the text that `open` gives it."""
+    write_files(tmp_path, {"ref_1.txt": "go on.", "refs/ref_2.txt": "go on."})
+    bad = tmp_path / name
+    code, data, err = run_cli(["score", "--ref", str(tmp_path / "ref_1.txt"), "--ref", str(bad)],
+                              tmp_path / "out")
+    [error] = json.loads(err)["errors"]
+    assert (code, data) == (1, _error_table(error))
+    assert error == {"doc_id": "doc", "kind": kind, "message": f"{message}: {str(bad)!r}"}
+
+
 def test_bad_threshold_is_a_document_error(demo_corpus, tmp_path):
     code, _, err = run_cli(["eval", str(demo_corpus), "--threshold", "9"], tmp_path / "out")
     assert code == 1

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from wisebe import (AlignmentError, DuplicateLabel, MissingReferences,
                     load_corpus, load_document)
-from wisebe.corpus import _read_text
+from wisebe.corpus import READ_CHUNK, _read_text
 from wisebe.model import _scan
 from oracles import corpus_by_iterdir
 from strategies import corpus_trees, write_files, write_tree
@@ -198,3 +198,30 @@ def test_binary_read_scans_like_read_text(pieces):
             assert str(err.value) == f"{path}: {exc}"
         else:
             assert _scan(_read_text(path)) == expected
+
+
+@pytest.mark.parametrize("size", [0, 1, READ_CHUNK - 1, READ_CHUNK, READ_CHUNK + 1,
+                                  2 * READ_CHUNK + 1])
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+@pytest.mark.parametrize("last", [b"", b"\xff"])
+def test_read_text_matches_read_bytes_across_chunk_sizes(tmp_path, size, bom, last):
+    """Chunked reads give the text of one whole-file read and decode,
+    minus a leading BOM, at sizes around the chunk (BOM included).  A
+    file ending in 0xff fails with the offset of that byte in the file,
+    past the first chunk in the larger files."""
+    body = bom + "é ".encode("utf-8") + b"go on. then stop! " * (size // 18 + 1)
+    path = tmp_path / "ref_1.txt"
+    path.write_bytes(body[:size - len(last)] + last if size else b"")
+    data = path.read_bytes()
+    assert len(data) == size
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        with pytest.raises(ValueError) as err:
+            _read_text(path)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"{path}: {exc}"
+        if last and size > 1:
+            assert f"in position {size - 1}:" in str(err.value)
+    else:
+        assert _read_text(path) == (text[1:] if text.startswith("\ufeff") else text)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from hypothesis import Phase, given, note, settings
+from hypothesis import Phase, example, given, note, settings
 import hypothesis.strategies as st
 
 from wisebe.aggregation import build_general_reference, build_window_reference
@@ -320,8 +320,20 @@ def _assert_close(actual, expected):
         assert abs(actual - float(expected)) <= 1e-12, (actual, expected)
 
 
+# System A scored in three documents, where no figure's mean row equals
+# its first or its last document's value, so that the mean rows are
+# checked whatever corpora the draw gives.
+THREE_SCORED = ([Doc(f"doc{i}", ["the", "cat", "sat", "on", "the", "mat"], ["ref_1", "ref_2"],
+                     refs, {"A": system}, [0, 1], [0] * 6, [False] * 4)
+                 for i, (refs, system) in enumerate([
+                     ([[0, 1, 0, 0, 0, 1], [0, 1, 0, 0, 0, 1]], [0, 1, 0, 0, 0, 1]),
+                     ([[0, 0, 1, 0, 0, 1], [0, 1, 0, 0, 0, 1]], [1, 0, 0, 0, 0, 1]),
+                     ([[0, 0, 0, 1, 0, 1], [1, 0, 1, 1, 0, 1]], [0, 0, 0, 0, 0, 1])])], 1)
+
+
 @settings(max_examples=20)
 @given(corpora())
+@example(THREE_SCORED)
 def test_report_values_equal_exact_fractions(corpus):
     docs, limit = corpus
     with tempfile.TemporaryDirectory() as tmp:
