@@ -233,7 +233,9 @@ def _read_text(path: Path) -> str:
 
 def load_document(files: DocumentFiles) -> Document:
     """Read and align one document; any token disagreement is fatal, and
-    so are two references or two systems with the same label."""
+    so are two references or two systems with the same label.  Each file
+    after the first is parsed against the first file's transcript, so a
+    file that holds its tokens shares that `Transcript`."""
     if files.structured_path is not None:
         return _load_structured(files.structured_path, files.doc_id)
     for kind, entries in (("reference", files.ref_paths), ("system", files.sys_paths)):
@@ -246,7 +248,7 @@ def load_document(files: DocumentFiles) -> Document:
         # In label order, as a structured document is read; labels are unique.
         for label, path in sorted(entries):
             transcript, vector = parse_segmented_text(
-                _read_text(path), files.doc_id, label, origin
+                _read_text(path), files.doc_id, label, origin, base=base
             )
             if base is None:
                 base, base_label = transcript, label

@@ -18,9 +18,11 @@ from .errors import AlignmentError, EmptyTranscript, MissingReferences
 SU_DELIMITERS = frozenset(".?!;")
 # Punctuation stripped during normalization; never closes a unit.
 INTERNAL_MARKS = frozenset(":,")
+# The Latin-1 characters that str.split() splits on and bytes.split() does not.
+_WIDE_SPACE = "\x1c\x1d\x1e\x1f\x85\xa0"
 # _scan normalizes text below U+0100 with one bytes.translate by these two.
-_TABLE = bytes(range(256)).decode("latin-1").lower().translate(
-    str.maketrans(dict.fromkeys(SU_DELIMITERS, "."))).encode("latin-1")
+_TABLE = bytes(range(256)).decode("latin-1").lower().translate(str.maketrans(
+    {**dict.fromkeys(SU_DELIMITERS, "."), **dict.fromkeys(_WIDE_SPACE, " ")})).encode("latin-1")
 _DELETE = "".join(INTERNAL_MARKS).encode("latin-1")
 _TO_DIGITS = b"01".ljust(256, b"2")    # any other byte gives "2", which int(_, 2) rejects
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -177,42 +179,21 @@ class ReferenceSet(NamedTuple("ReferenceSet", [("doc_id", str),
         return self.references[0].n
 
 
-def _scan(raw_text: str) -> tuple[list[str], bytearray]:
-    """Lowercase tokens plus boundary flags, a few C calls per unit.
+def _units(text: str | bytes, dot: str | bytes) -> tuple[list, bytearray]:
+    """Tokens and boundary flags of normalized `str` or `bytes` text, whose
+    unit-final marks are all `dot`, a few C calls per unit.
 
-    After normalisation every unit-final mark is a `.`, and the text is
-    read one `.`-terminated unit at a time: the unit's `str.split()` is
-    appended to the tokens, and the token count so far is the position,
-    shifted by one, of the boundary the mark closes.  A unit with no
-    tokens adds none, so runs of marks collapse, and a run before the
-    first token sets only the extra flag 0, which is dropped.  Empty
+    The text is read one `dot`-terminated unit at a time: the unit's
+    `split()` is appended to the tokens, and the token count so far is the
+    position, shifted by one, of the boundary the mark closes.  A unit
+    with no tokens adds none, so runs of marks collapse, and a run before
+    the first token sets only the extra flag 0, which is dropped.  Empty
     units are skipped before they are split, so long runs of marks stay
     cheap, and each unit's token list is dropped once appended, so no
-    per-unit object lives on.  `str.split()` splits on `str.isspace`, as
-    the reference scanner `tests/oracles.scan_by_characters` does.
-
-    Normalization takes one of two paths.  Text whose every character is
-    below U+0100 (ASCII and Latin-1) goes through one `bytes.translate`
-    with `_TABLE` and `_DELETE`.  That is exact: each of those characters
-    lowers to one character below U+0100 and none is a sigma, so the
-    per-character lowering of the table is what `lower()` gives.  Any
-    other text fails to encode and takes the general path, with two
-    traps: `str.translate` with a dict is about 40x slower than `replace`
-    on non-ASCII text, and whole-string `lower()` applies Final_Sigma
-    (`"ΟΔΟΣ".lower()` is `"οδος"`), so capital sigma is mapped first to
-    keep the lowering per character, as in that scanner.
+    per-unit object lives on.
     """
-    try:
-        text = raw_text.encode("latin-1").translate(_TABLE, _DELETE).decode("latin-1")
-    except UnicodeEncodeError:
-        text = raw_text
-        for mark in INTERNAL_MARKS:
-            text = text.replace(mark, "")
-        text = text.replace("Σ", "σ").lower()
-        for mark in SU_DELIMITERS:
-            text = text.replace(mark, ".")
-    *units, last = text.split(".")
-    tokens: list[str] = []
+    *units, last = text.split(dot)
+    tokens = []
     flags = bytearray(len(text) + 1)    # a text of c characters has at most c tokens
     for unit in filter(None, units):
         tokens += unit.split()
@@ -222,21 +203,76 @@ def _scan(raw_text: str) -> tuple[list[str], bytearray]:
     return tokens, flags
 
 
+def _scan(raw_text: str, shared: tuple[str, ...] = ()
+          ) -> tuple[list[str] | tuple[str, ...], bytearray]:
+    """Lowercase tokens plus boundary flags, by `_units` on the text
+    normalized so that every unit-final mark is a `.`.  `str.split()`
+    splits on `str.isspace`, as the reference scanner
+    `tests/oracles.scan_by_characters` does.
+
+    Normalization takes one of two paths.  Text whose every character is
+    below U+0100 (ASCII and Latin-1) goes through one `bytes.translate`
+    with `_TABLE` and `_DELETE`.  That is exact: each of those characters
+    lowers to one character below U+0100 and none is a sigma, so the
+    per-character lowering of the table is what `lower()` gives.  The
+    table also maps the six characters of `_WIDE_SPACE`, which
+    `str.split()` splits on and `bytes.split()` does not, to a space, so
+    the normalized bytes split where their text does.  Any other text
+    fails to encode and takes the general path, with two traps:
+    `str.translate` with a dict is about 40x slower than `replace` on
+    non-ASCII text, and whole-string `lower()` applies Final_Sigma
+    (`"ΟΔΟΣ".lower()` is `"οδος"`), so capital sigma is mapped first to
+    keep the lowering per character, as in that scanner.
+
+    `shared` is the token tuple of another file of the same transcript.
+    When it is given and the text is below U+0100, the units are first
+    read from the normalized bytes, which makes no `str` per token.  If
+    there are as many tokens as in `shared` and their space-joined text
+    is that of `shared`, they are its tokens, as no scanned token holds
+    a space, and `shared` itself is returned with the flags.  Otherwise
+    the text is read as `str`, as without `shared`.
+    """
+    try:
+        data = raw_text.encode("latin-1").translate(_TABLE, _DELETE)
+    except UnicodeEncodeError:
+        text = raw_text
+        for mark in INTERNAL_MARKS:
+            text = text.replace(mark, "")
+        text = text.replace("Σ", "σ").lower()
+        for mark in SU_DELIMITERS:
+            text = text.replace(mark, ".")
+    else:
+        if shared:
+            tokens, flags = _units(data, b".")
+            if (len(tokens) == len(shared)
+                    and b" ".join(tokens).decode("latin-1") == " ".join(shared)):
+                return shared, flags
+        text = data.decode("latin-1")
+    return _units(text, ".")
+
+
 def parse_segmented_text(raw_text: str, doc_id: str = "", label: str = "",
-                         origin: str = REFERENCE) -> tuple[Transcript, BoundaryVector]:
+                         origin: str = REFERENCE, *, base: Transcript | None = None
+                         ) -> tuple[Transcript, BoundaryVector]:
     """Split punctuated text into its transcript and boundary vector.
 
     A unit-final mark (. ? ! ;) closes the unit after the preceding token;
     runs of marks collapse into one boundary; commas and colons are dropped.
     `_scan` gives no empty token and none holding a unit-final mark, so
-    Transcript's checks, which would make a `text_eval` run about 19%
-    slower, are skipped.
+    Transcript's checks are skipped.  `base` is a transcript that the
+    text is expected to hold, such as another file's of the same
+    document: when the text holds its tokens and `doc_id` is its
+    document id, `base` itself is returned, and any other text is parsed
+    as without it.
     """
-    tokens, flags = _scan(raw_text)
+    shared = base.tokens if base is not None and base.doc_id == doc_id else ()
+    tokens, flags = _scan(raw_text, shared)
     if not tokens:
         Transcript(doc_id, ())      # raises EmptyTranscript
-    return (tuple.__new__(Transcript, (doc_id, tuple(tokens))),
-            BoundaryVector(doc_id, flags, origin, label))
+    # Text beyond Latin-1 is read as str only, and may hold base's tokens too.
+    if tokens is not shared and (tokens := tuple(tokens)) != shared:
+        base = tuple.__new__(Transcript, (doc_id, tokens))
+    return base, BoundaryVector(doc_id, flags, origin, label)
 
 
 def to_segmented_text(transcript: Transcript, vector: BoundaryVector) -> str:

@@ -54,7 +54,10 @@ MUTANTS = (
     Mutant("units split at ASCII whitespace only", "src/wisebe/model.py",
            "tokens += unit.split()", "tokens += [t.decode() for t in unit.encode().split()]",
            ("tests/test_model.py::test_scan_matches_character_oracle_on_tricky_characters",
-            "tests/test_model.py::test_scan_matches_oracles_on_latin1_text")),
+            "tests/test_model.py::test_scan_matches_oracles_on_text_beyond_latin1")),
+    Mutant("byte table leaves U+00A0 unmapped", "src/wisebe/model.py",
+           r'_WIDE_SPACE = "\x1c\x1d\x1e\x1f\x85\xa0"', r'_WIDE_SPACE = "\x1c\x1d\x1e\x1f\x85"',
+           ("tests/test_model.py::test_latin1_table_is_the_per_character_lowering",)),
     Mutant("byte table lowers ASCII only", "src/wisebe/model.py",
            'bytes(range(256)).decode("latin-1").lower()',
            'bytes(range(256)).lower().decode("latin-1")',
@@ -89,8 +92,19 @@ MUTANTS = (
            ("tests/test_model.py::test_parse_rejects_effectively_empty_input",
             "tests/test_model.py::test_parse_skips_checks_that_scan_output_always_passes")),
     Mutant("unchecked parse keeps the token list", "src/wisebe/model.py",
-           "(doc_id, tuple(tokens))", "(doc_id, tokens)",
-           ("tests/test_model.py::test_parse_skips_checks_that_scan_output_always_passes",)),
+           "(tokens := tuple(tokens))", "(tokens := tokens)",
+           ("tests/test_model.py::test_parse_skips_checks_that_scan_output_always_passes",
+            "tests/test_model.py::test_parse_against_a_base_matches_the_plain_parse")),
+    Mutant("shared path accepts a file on its token count alone", "src/wisebe/model.py",
+           "if (len(tokens) == len(shared)\n"
+           '                    and b" ".join(tokens).decode("latin-1") == " ".join(shared)):',
+           "if len(tokens) == len(shared):",
+           ("tests/test_model.py::test_parse_against_a_base_matches_the_plain_parse",
+            "tests/test_corpus.py::test_a_later_file_that_does_not_align_fails_as_before")),
+    Mutant("base returned for another document id", "src/wisebe/model.py",
+           "base.tokens if base is not None and base.doc_id == doc_id else ()",
+           "base.tokens if base is not None else ()",
+           ("tests/test_model.py::test_parse_against_a_base_matches_the_plain_parse",)),
     Mutant("text references read in file-name order", "src/wisebe/corpus.py",
            "for label, path in sorted(entries):", "for label, path in entries:",
            ("tests/test_cli.py::test_text_and_json_layouts_read_references_in_label_order",

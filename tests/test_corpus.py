@@ -9,8 +9,9 @@ import hypothesis.strategies as st
 
 from wisebe import (AlignmentError, DuplicateLabel, MissingReferences,
                     load_corpus, load_document)
+from wisebe import corpus
 from wisebe.corpus import READ_CHUNK, _read_text
-from wisebe.model import _scan
+from wisebe.model import _scan, parse_segmented_text
 from oracles import corpus_by_iterdir
 from strategies import corpus_trees, write_files, write_tree
 
@@ -101,6 +102,54 @@ def test_load_document_rejects_token_mismatch(tmp_path):
     assert str(err.value) == ("document 'a': S1 does not align with ref_1: "
                               "token mismatch at position 1: 'on' != 'away'")
     assert err.value.position == 1
+
+
+def test_every_file_of_a_text_document_shares_the_first_transcript(tmp_path, monkeypatch):
+    """Each later file, whether read on the byte path or, holding a
+    character above U+00FF, on the string path, gets the first file's
+    Transcript object back."""
+    write_files(tmp_path / "a", {
+        "ref_1.txt": "Go on. Stop here.",
+        "ref_2.txt": "go,  on stop\x85here",
+        "ref_3.txt": "GO ON; STOP\xa0HERE!!",
+        "sys_S1.txt": "go\u2028on. stop here.",
+        "sys_S2.txt": ". go on\x1cstop: here?",
+    })
+    parsed = []
+
+    def recorded(*args, **kwargs):
+        parsed.append(parse_segmented_text(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(corpus, "parse_segmented_text", recorded)
+    doc = load_document(load_corpus(tmp_path).documents[0])
+    assert len(parsed) == 5
+    assert all(transcript is doc.transcript for transcript, _ in parsed)
+    assert doc.transcript.tokens == ("go", "on", "stop", "here")
+    assert [vector.bits for _, vector in parsed] == [
+        (0, 1, 0, 1), (0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 0, 1), (0, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("name, text, message, position, left, right", [
+    pytest.param("ref_2.txt", "go on. stop there.",
+                 "ref_2 does not align with ref_1: token mismatch at position 3: "
+                 "'here' != 'there'", 3, "here", "there", id="token"),
+    pytest.param("ref_2.txt", "go on. stop here now.",
+                 "ref_2 does not align with ref_1: length mismatch: 4 vs 5 tokens",
+                 4, None, "now", id="length"),
+    pytest.param("sys_S1.txt", "GO ON. ΣTOP HERE.",
+                 "S1 does not align with ref_1: token mismatch at position 2: "
+                 "'stop' != 'σtop'", 2, "stop", "σtop", id="sigma"),
+])
+def test_a_later_file_that_does_not_align_fails_as_before(tmp_path, name, text, message,
+                                                          position, left, right):
+    texts = {"ref_1.txt": "Go on. Stop here.", "ref_2.txt": "go on stop here.",
+             "sys_S1.txt": "go on. stop here.", name: text}
+    write_files(tmp_path / "a", texts)
+    with pytest.raises(AlignmentError) as err:
+        load_document(load_corpus(tmp_path).documents[0])
+    assert str(err.value) == f"document 'a': {message}"
+    assert (err.value.position, err.value.left, err.value.right) == (position, left, right)
 
 
 def test_load_structured_document(tmp_path):

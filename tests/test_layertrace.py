@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import REPO_ROOT
+from wisebe import load_corpus, load_document
 from wisebe.cli import main
 
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
@@ -38,3 +39,26 @@ def test_traced_run_reads_every_target_and_counter(demo_corpus, tmp_path, argv, 
     counts = layertrace.summarize(tracer.take()).counts
     assert set(counts) == counters
     assert all(type(total) is int for total in counts.values()), counts
+
+
+def test_traced_eval_parses_each_text_file_once(demo_corpus, tmp_path):
+    """The harness reads `model.parse_calls` and `model.tokens_parsed` from
+    one parse per text file, so a document of f files and n tokens shows
+    f parse spans under its load, whose token counts sum to f x n."""
+    tracer = layertrace.Tracer()
+    with tracer:
+        tracer.request()
+        assert main(["eval", str(demo_corpus), "--output", str(tmp_path / "out")]) == 0
+    spans = tracer.take()
+    parses: dict[int, list[int]] = {}
+    for span in spans:
+        if span.name == "model.parse_segmented_text":
+            parses.setdefault(span.parent, []).append(span.counts["tokens"])
+    loads = [span.id for span in spans if span.name == "corpus.load_document"]
+    expected = []
+    for files in load_corpus(demo_corpus).documents:
+        if files.structured_path is None:
+            count = len(files.ref_paths) + len(files.sys_paths)
+            expected.append((count, count * load_document(files).transcript.n))
+    assert set(parses) <= set(loads)
+    assert sorted((len(tokens), sum(tokens)) for tokens in parses.values()) == sorted(expected)

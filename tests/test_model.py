@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from wisebe import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
@@ -123,13 +123,20 @@ def test_scan_matches_oracles_on_text_beyond_latin1(data):
 def test_latin1_table_is_the_per_character_lowering():
     """The premise of the one-pass path: every character below U+0100
     lowers to one character below U+0100 that is no sigma, so no
-    Final_Sigma context arises and a byte table gives what lower() gives."""
+    Final_Sigma context arises and a byte table gives what lower() gives.
+    The six characters that are whitespace to `str` but not to `bytes`
+    become a space, so the normalized bytes split where their text does."""
     lowered = [chr(c).lower() for c in range(256)]
     for c, low in enumerate(lowered):
         assert len(low) == 1 and ord(low) < 0x100 and low not in "σς", hex(c)
-    assert _TABLE == bytes(ord("." if chr(c) in SU_DELIMITERS else low)
-                           for c, low in enumerate(lowered))
+    wide_space = [c for c in range(256) if chr(c).isspace() and not bytes([c]).isspace()]
+    assert wide_space == [0x1C, 0x1D, 0x1E, 0x1F, 0x85, 0xA0]
+    assert _TABLE == bytes(ord("." if chr(c) in SU_DELIMITERS else " " if c in wide_space
+                               else low) for c, low in enumerate(lowered))
     assert sorted(_DELETE) == sorted(map(ord, INTERNAL_MARKS))
+    for c in range(256):
+        data = f"a{chr(c)}b{chr(c)}".encode("latin-1").translate(_TABLE, _DELETE)
+        assert [t.decode("latin-1") for t in data.split()] == data.decode("latin-1").split(), c
 
 
 def _built(call):
@@ -144,15 +151,78 @@ def _built(call):
 @given(st.one_of(st.text(alphabet=SCAN_ALPHABET, max_size=40), st.text()),
        st.sampled_from((REFERENCE, CANDIDATE, "system")))
 def test_parse_skips_checks_that_scan_output_always_passes(raw, origin):
-    """parse_segmented_text skips only the Transcript checks, which would
-    make a `text_eval` benchmark run about 19% slower, so it must give
-    what the checked constructors give on _scan's output, and raise what
-    they raise: token-free text fails before a bad origin."""
+    """parse_segmented_text skips only the Transcript checks, so it must
+    give what the checked constructors give on _scan's output, and raise
+    what they raise: token-free text fails before a bad origin."""
     def checked():
         tokens, flags = _scan(raw)
         return Transcript("d", tokens), BoundaryVector("d", flags, origin, "ref_1")
     assert (_built(lambda: parse_segmented_text(raw, "d", "ref_1", origin))
             == _built(checked))
+
+
+# Texts with a character above U+00FF, which take the general path.
+WIDE_TEXT = st.builds(lambda text, at, wide: text[:at] + wide + text[at:],
+                      LATIN1_TEXT, st.integers(0, 40), st.sampled_from("Σ\u2028\ufeff\u2019"))
+WHITESPACE = " \t\r\n\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+
+
+def _upper(ch: str) -> str:
+    """`ch` in upper case where that lowers back to what `ch` lowers to."""
+    return ch.upper() if ch.upper().lower() == ch.lower() else ch
+
+
+@st.composite
+def texts_and_bases(draw):
+    """A text, and a transcript to parse it against: mostly that of a
+    variant of the text in case, unit-final marks and whitespace, so the
+    two hold the same tokens; otherwise that of the variant with one token
+    swapped or added, or of another text.  The base's document is mostly
+    the text's own, "d"."""
+    raw = draw(draw(st.sampled_from((LATIN1_TEXT, LATIN1_TEXT, LATIN1_TEXT, WIDE_TEXT))))
+    swaps = {**dict.fromkeys(SU_DELIMITERS, st.sampled_from(sorted(SU_DELIMITERS))),
+             **dict.fromkeys(WHITESPACE, st.sampled_from(WHITESPACE))}
+    variant = "".join(draw(swaps[ch]) if ch in swaps else _upper(ch) if draw(st.booleans())
+                      else ch for ch in raw)
+    kind = draw(st.sampled_from(["same"] * 5 + ["swapped", "added", "other"]))
+    if kind == "swapped":
+        variant = variant.replace(draw(st.sampled_from(variant or "a")), "z", 1)
+    elif kind == "added":
+        variant += draw(st.sampled_from([" z", ". z", "\xa0z"]))
+    elif kind == "other":
+        variant = draw(st.one_of(LATIN1_TEXT, WIDE_TEXT))
+    doc_id = draw(st.sampled_from("dddde"))
+    try:
+        base, _ = parse_segmented_text(variant, doc_id)
+    except EmptyTranscript:
+        base = Transcript(doc_id, ("a b",))
+    return raw, base
+
+
+@given(texts_and_bases())
+@example(("a\x85b. c", Transcript("d", ("a", "b", "c"))))
+@example(("a\xa0b. c", Transcript("d", ("a", "b", "c"))))
+@example(("a\x1cb. c", Transcript("d", ("a", "b", "c"))))
+@example(("A b. C", Transcript("d", ("a", "b", "d"))))
+@example(("a b", Transcript("d", ("a b",))))
+@example(("a. b", Transcript("e", ("a", "b"))))
+def test_parse_against_a_base_matches_the_plain_parse(raw_and_base):
+    """A base changes no vector and no error, and the transcript is the
+    base itself exactly when the plain parse holds its tokens and the
+    document ids match."""
+    raw, base = raw_and_base
+    plain = _built(lambda: parse_segmented_text(raw, "d", "sys", CANDIDATE))
+    shared = _built(lambda: parse_segmented_text(raw, "d", "sys", CANDIDATE, base=base))
+    if plain[0] == "error":
+        assert shared == plain
+        return
+    (_, plain_transcript), plain_vector = plain[1]
+    (_, transcript), vector = shared[1]
+    assert vector == plain_vector
+    if plain_transcript.tokens == base.tokens and base.doc_id == "d":
+        assert transcript is base
+    else:
+        assert (type(transcript), transcript) == (Transcript, plain_transcript)
 
 
 @pytest.mark.parametrize("raw, words, bits", [
