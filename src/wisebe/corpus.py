@@ -234,25 +234,27 @@ def _read_text(path: Path) -> str:
 def load_document(files: DocumentFiles) -> Document:
     """Read and align one document; any token disagreement is fatal, and
     so are two references or two systems with the same label.  Each file
-    after the first is parsed against the first file's transcript, so a
-    file that holds its tokens shares that `Transcript`."""
+    after the first is parsed against the first file's transcript and
+    its space-joined text, built once for the document, so a file that
+    holds its tokens shares that `Transcript`.  Only a file that does
+    not is passed to `align`, which words its mismatch."""
     if files.structured_path is not None:
         return _load_structured(files.structured_path, files.doc_id)
     for kind, entries in (("reference", files.ref_paths), ("system", files.sys_paths)):
         _unique(entries, f"document {files.doc_id!r}: {kind} label")
     base: Transcript | None = None
-    base_label = ""
+    base_label = canon = ""
     refs: list[BoundaryVector] = []
     cands: list[tuple[str, BoundaryVector]] = []
     for origin, entries in ((REFERENCE, files.ref_paths), (CANDIDATE, files.sys_paths)):
         # In label order, as a structured document is read; labels are unique.
         for label, path in sorted(entries):
             transcript, vector = parse_segmented_text(
-                _read_text(path), files.doc_id, label, origin, base=base
+                _read_text(path), files.doc_id, label, origin, base=base, _canon=canon
             )
             if base is None:
-                base, base_label = transcript, label
-            else:
+                base, base_label, canon = transcript, label, " ".join(transcript.tokens)
+            elif transcript is not base:
                 align(base, transcript,
                       f"document {files.doc_id!r}: {label} does not align with {base_label}: ")
             if origin == REFERENCE:

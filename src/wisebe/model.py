@@ -203,7 +203,7 @@ def _units(text: str | bytes, dot: str | bytes) -> tuple[list, bytearray]:
     return tokens, flags
 
 
-def _scan(raw_text: str, shared: tuple[str, ...] = ()
+def _scan(raw_text: str, shared: tuple[str, ...] = (), canon: str = ""
           ) -> tuple[list[str] | tuple[str, ...], bytearray]:
     """Lowercase tokens plus boundary flags, by `_units` on the text
     normalized so that every unit-final mark is a `.`.  `str.split()`
@@ -224,13 +224,15 @@ def _scan(raw_text: str, shared: tuple[str, ...] = ()
     (`"ΟΔΟΣ".lower()` is `"οδος"`), so capital sigma is mapped first to
     keep the lowering per character, as in that scanner.
 
-    `shared` is the token tuple of another file of the same transcript.
-    When it is given and the text is below U+0100, the units are first
-    read from the normalized bytes, which makes no `str` per token.  If
-    there are as many tokens as in `shared` and their space-joined text
-    is that of `shared`, they are its tokens, as no scanned token holds
-    a space, and `shared` itself is returned with the flags.  Otherwise
-    the text is read as `str`, as without `shared`.
+    `shared` is the token tuple of another file of the same transcript,
+    and `canon` its space-joined text, which a caller scanning several
+    files against one `shared` builds once (when empty, it is joined
+    here).  When `shared` is given and the text is below U+0100, the
+    units are first read from the normalized bytes, which makes no `str`
+    per token.  If there are as many tokens as in `shared` and their
+    space-joined text is `canon`, they are its tokens, as no scanned
+    token holds a space, and `shared` itself is returned with the flags.
+    Otherwise the text is read as `str`, as without `shared`.
     """
     try:
         data = raw_text.encode("latin-1").translate(_TABLE, _DELETE)
@@ -244,29 +246,33 @@ def _scan(raw_text: str, shared: tuple[str, ...] = ()
     else:
         if shared:
             tokens, flags = _units(data, b".")
-            if (len(tokens) == len(shared)
-                    and b" ".join(tokens).decode("latin-1") == " ".join(shared)):
+            canon = canon or " ".join(shared)
+            if len(tokens) == len(shared) and b" ".join(tokens).decode("latin-1") == canon:
                 return shared, flags
         text = data.decode("latin-1")
     return _units(text, ".")
 
 
 def parse_segmented_text(raw_text: str, doc_id: str = "", label: str = "",
-                         origin: str = REFERENCE, *, base: Transcript | None = None
-                         ) -> tuple[Transcript, BoundaryVector]:
+                         origin: str = REFERENCE, *, base: Transcript | None = None,
+                         _canon: str = "") -> tuple[Transcript, BoundaryVector]:
     """Split punctuated text into its transcript and boundary vector.
 
     A unit-final mark (. ? ! ;) closes the unit after the preceding token;
     runs of marks collapse into one boundary; commas and colons are dropped.
     `_scan` gives no empty token and none holding a unit-final mark, so
-    Transcript's checks are skipped.  `base` is a transcript that the
+    Transcript's checks, which would make a `text_eval` benchmark run
+    about 1% slower, are skipped.  `base` is a transcript that the
     text is expected to hold, such as another file's of the same
     document: when the text holds its tokens and `doc_id` is its
     document id, `base` itself is returned, and any other text is parsed
-    as without it.
+    as without it.  So a returned `base` holds the text's tokens, checked
+    on the whole joined text or tuple.  The private `_canon` is
+    `" ".join(base.tokens)`, which `load_document` builds once per
+    document; without it, the join is made here.
     """
     shared = base.tokens if base is not None and base.doc_id == doc_id else ()
-    tokens, flags = _scan(raw_text, shared)
+    tokens, flags = _scan(raw_text, shared, _canon)
     if not tokens:
         Transcript(doc_id, ())      # raises EmptyTranscript
     # Text beyond Latin-1 is read as str only, and may hold base's tokens too.
@@ -288,6 +294,8 @@ def align(first: Transcript, other: Transcript, what: str = "") -> None:
 
     Segmentations are only comparable position by position, so any
     token mismatch is a hard error, never repaired silently.
+    `load_document` calls it only for a later file that did not get the
+    first file's transcript back, to word its mismatch.
     """
     if other.tokens == first.tokens:
         return

@@ -96,11 +96,17 @@ MUTANTS = (
            ("tests/test_model.py::test_parse_skips_checks_that_scan_output_always_passes",
             "tests/test_model.py::test_parse_against_a_base_matches_the_plain_parse")),
     Mutant("shared path accepts a file on its token count alone", "src/wisebe/model.py",
-           "if (len(tokens) == len(shared)\n"
-           '                    and b" ".join(tokens).decode("latin-1") == " ".join(shared)):',
+           'if len(tokens) == len(shared) and b" ".join(tokens).decode("latin-1") == canon:',
            "if len(tokens) == len(shared):",
            ("tests/test_model.py::test_parse_against_a_base_matches_the_plain_parse",
-            "tests/test_corpus.py::test_a_later_file_that_does_not_align_fails_as_before")),
+            "tests/test_corpus.py::test_a_later_file_that_does_not_align_fails_as_before",
+            "tests/test_corpus.py::test_load_document_matches_the_per_file_loader")),
+    Mutant("shared path returns the base without comparing", "src/wisebe/model.py",
+           'tokens, flags = _units(data, b".")',
+           'tokens, flags = _units(data, b".")\n            return shared, flags',
+           ("tests/test_model.py::test_parse_against_a_base_matches_the_plain_parse",
+            "tests/test_corpus.py::test_a_later_file_that_does_not_align_fails_as_before",
+            "tests/test_corpus.py::test_load_document_matches_the_per_file_loader")),
     Mutant("base returned for another document id", "src/wisebe/model.py",
            "base.tokens if base is not None and base.doc_id == doc_id else ()",
            "base.tokens if base is not None else ()",
@@ -110,6 +116,21 @@ MUTANTS = (
            ("tests/test_cli.py::test_text_and_json_layouts_read_references_in_label_order",
             "tests/test_end_to_end.py::"
             "test_reports_are_invariant_under_layout_order_labels_and_other_systems")),
+    Mutant("the document's join never passed on", "src/wisebe/corpus.py",
+           "base=base, _canon=canon", "base=base",
+           ("tests/test_corpus.py::test_later_files_get_the_join_of_the_first_built_once",)),
+    Mutant("each file gets the join of the file before it", "src/wisebe/corpus.py",
+           "            if origin == REFERENCE:\n",
+           '            canon = " ".join(transcript.tokens)\n'
+           "            if origin == REFERENCE:\n",
+           ("tests/test_corpus.py::test_later_files_get_the_join_of_the_first_built_once",)),
+    Mutant("no later file aligned", "src/wisebe/corpus.py",
+           "elif transcript is not base:", "elif False:",
+           ("tests/test_corpus.py::test_a_later_file_that_does_not_align_fails_as_before",
+            "tests/test_corpus.py::test_load_document_matches_the_per_file_loader")),
+    Mutant("every later file aligned", "src/wisebe/corpus.py",
+           "elif transcript is not base:", "else:",
+           ("tests/test_corpus.py::test_a_later_file_sharing_the_transcript_is_not_aligned",)),
     Mutant("references never checked against the transcript", "src/wisebe/corpus.py",
            "        check_aligned(references, transcript, "
            'f"references of document {transcript.doc_id!r}",\n'

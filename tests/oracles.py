@@ -3,14 +3,19 @@
 Everything here favors literal definitions over speed and shares no code
 with the implementations under test: windows come from a regex over a
 0/1 mask, ratios are exact fractions, kappa follows the classic
-items-by-categories table.
+items-by-categories table.  The one exception is the text-document
+loader, which is the simple per-file composition of the package's plain
+parse and `align` that the shared-transcript load path replaced; that
+parse is itself checked against the scanner oracles here.
 """
 
 import re
 from fractions import Fraction
 from pathlib import Path
 
+from wisebe.corpus import Document
 from wisebe.errors import DuplicateLabel
+from wisebe.model import CANDIDATE, REFERENCE, ReferenceSet, align, parse_segmented_text
 
 
 def windows_by_regex(counts, separation_limit):
@@ -219,3 +224,28 @@ def transcript_error_by_tokens(doc_id, tokens):
             return (f"transcript {doc_id!r}: token {token!r} at position {j} "
                     "contains unit-final punctuation")
     return None
+
+
+def load_text_document_by_files(files):
+    """The `Document` of a text-directory document (a `DocumentFiles`
+    with unique labels), as `load_document` built it before a document's
+    files shared one transcript: each file is read as UTF-8 minus a
+    leading BOM and parsed on its own, in label order, references first,
+    and `align` checks every later file against the first.  Raises what
+    the first failing step raises."""
+    first, first_label = None, ""
+    refs, cands = [], []
+    for origin, entries in ((REFERENCE, files.ref_paths), (CANDIDATE, files.sys_paths)):
+        for label, path in sorted(entries):
+            text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+            transcript, vector = parse_segmented_text(text, files.doc_id, label, origin)
+            if first is None:
+                first, first_label = transcript, label
+            else:
+                align(first, transcript,
+                      f"document {files.doc_id!r}: {label} does not align with {first_label}: ")
+            if origin == REFERENCE:
+                refs.append(vector)
+            else:
+                cands.append((label, vector))
+    return Document(first, ReferenceSet(files.doc_id, tuple(refs)), tuple(cands))

@@ -25,6 +25,11 @@ def reference_set(*rows):
     ))
 
 
+def upper_alike(ch):
+    """`ch` in upper case where that lowers back to what `ch` lowers to."""
+    return ch.upper() if ch.upper().lower() == ch.lower() else ch
+
+
 def bit_lists(n):
     return st.lists(st.integers(0, 1), min_size=n, max_size=n)
 

@@ -198,6 +198,19 @@ def test_identical_documents_leave_pearson_uncomputed(tmp_path):
     assert (payload["pcc"], payload["sample_count"]) == (None, 0)
 
 
+def test_agreement_lowers_by_the_unicode_database_of_the_oldest_supported_python(tmp_path):
+    """U+2C2F lowers to U+2C5F from Unicode 14.0 (Python 3.11) on, and to
+    itself in Python 3.10's Unicode 13.0, where these references do not
+    align.  pyproject.toml requires 3.11 so that every supported Python
+    gives this report; a Unicode-database change fails here."""
+    root = write_files(tmp_path / "corpus", {"d/ref_1.txt": "a \u2c2f b. c.",
+                                             "d/ref_2.txt": "a \u2c5f b c."})
+    code, data, err = run_cli(["agreement", str(root), "--format", "json"], tmp_path / "out")
+    assert (code, err) == (0, "")
+    [document] = json.loads(data)["documents"]
+    assert (document["agreement_ratio"], document["kappa"]) == (0.5, 0.467)
+
+
 def _both_layouts(tmp_path, docs, tokens=("go", "on", "now")):
     """`docs` ({doc id: {file stem: marked positions}}) written as text
     directories under tmp_path/text and as `.json` documents under

@@ -12,8 +12,8 @@ from wisebe import (AlignmentError, DuplicateLabel, MissingReferences,
 from wisebe import corpus
 from wisebe.corpus import READ_CHUNK, _read_text
 from wisebe.model import _scan, parse_segmented_text
-from oracles import corpus_by_iterdir
-from strategies import corpus_trees, write_files, write_tree
+from oracles import corpus_by_iterdir, load_text_document_by_files
+from strategies import corpus_trees, upper_alike, write_files, write_tree
 
 
 def test_load_corpus_discovers_both_layouts(tmp_path):
@@ -104,6 +104,29 @@ def test_load_document_rejects_token_mismatch(tmp_path):
     assert err.value.position == 1
 
 
+def _outcome(call):
+    """What `call` returns, or the type, message and alignment fields
+    (None on other errors) of what it raises."""
+    try:
+        return "ok", call()
+    except Exception as exc:
+        return ("error", type(exc), str(exc),
+                *(getattr(exc, field, None) for field in ("position", "left", "right")))
+
+
+def _recorded_parses(monkeypatch):
+    """The list that `corpus.parse_segmented_text`, patched, appends the
+    result of each call to."""
+    parsed = []
+
+    def recorded(*args, **kwargs):
+        parsed.append(parse_segmented_text(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(corpus, "parse_segmented_text", recorded)
+    return parsed
+
+
 def test_every_file_of_a_text_document_shares_the_first_transcript(tmp_path, monkeypatch):
     """Each later file, whether read on the byte path or, holding a
     character above U+00FF, on the string path, gets the first file's
@@ -115,13 +138,7 @@ def test_every_file_of_a_text_document_shares_the_first_transcript(tmp_path, mon
         "sys_S1.txt": "go\u2028on. stop here.",
         "sys_S2.txt": ". go on\x1cstop: here?",
     })
-    parsed = []
-
-    def recorded(*args, **kwargs):
-        parsed.append(parse_segmented_text(*args, **kwargs))
-        return parsed[-1]
-
-    monkeypatch.setattr(corpus, "parse_segmented_text", recorded)
+    parsed = _recorded_parses(monkeypatch)
     doc = load_document(load_corpus(tmp_path).documents[0])
     assert len(parsed) == 5
     assert all(transcript is doc.transcript for transcript, _ in parsed)
@@ -140,6 +157,10 @@ def test_every_file_of_a_text_document_shares_the_first_transcript(tmp_path, mon
     pytest.param("sys_S1.txt", "GO ON. ΣTOP HERE.",
                  "S1 does not align with ref_1: token mismatch at position 2: "
                  "'stop' != 'σtop'", 2, "stop", "σtop", id="sigma"),
+    # The same count of tokens and of characters, split elsewhere.
+    pytest.param("sys_S1.txt", "go on. sto phere.",
+                 "S1 does not align with ref_1: token mismatch at position 2: "
+                 "'stop' != 'sto'", 2, "stop", "sto", id="split"),
 ])
 def test_a_later_file_that_does_not_align_fails_as_before(tmp_path, name, text, message,
                                                           position, left, right):
@@ -150,6 +171,107 @@ def test_a_later_file_that_does_not_align_fails_as_before(tmp_path, name, text, 
         load_document(load_corpus(tmp_path).documents[0])
     assert str(err.value) == f"document 'a': {message}"
     assert (err.value.position, err.value.left, err.value.right) == (position, left, right)
+
+
+def test_a_later_file_sharing_the_transcript_is_not_aligned(tmp_path, monkeypatch):
+    """A later file that gets the first file's transcript back, on the
+    byte path or, holding U+2028, on the string path, holds its tokens,
+    so `align` is not called for it."""
+    write_files(tmp_path / "a", {"ref_1.txt": "Go on. Stop here.",
+                                 "ref_2.txt": "go on stop here.",
+                                 "sys_S1.txt": "go\u2028on. stop here."})
+    aligned = []
+    monkeypatch.setattr(corpus, "align", lambda *args: aligned.append(args))
+    doc = load_document(load_corpus(tmp_path).documents[0])
+    assert doc.transcript.tokens == ("go", "on", "stop", "here")
+    assert aligned == []
+
+
+def test_later_files_get_the_join_of_the_first_built_once(tmp_path, monkeypatch):
+    """The first file is parsed with no base; every later file gets its
+    transcript and one space-joined text of its tokens, the same object
+    for every file."""
+    write_files(tmp_path / "a", {"ref_1.txt": "Go on. Stop here.", "ref_2.txt": "go on stop here.",
+                                 "ref_3.txt": "go on. stop here",
+                                 "sys_S1.txt": "go. on stop here."})
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((kwargs.get("base"), kwargs.get("_canon", "")))
+        return parse_segmented_text(*args, **kwargs)
+
+    monkeypatch.setattr(corpus, "parse_segmented_text", recorded)
+    doc = load_document(load_corpus(tmp_path).documents[0])
+    (first_base, first_canon), *later = calls
+    assert (first_base, first_canon, len(later)) == (None, "", 3)
+    assert all(base is doc.transcript for base, _ in later)
+    assert later[0][1] == "go on stop here"
+    assert all(canon is later[0][1] for _, canon in later)
+
+
+WORD_CHARACTERS = "abcéÞß'"
+# Runs between words: each splits them, and some hold a comma or a colon,
+# which the scanner drops; U+2028 sends a file to the string path.
+RUNS = (" ", "\t", "\r\n", "\x85", "\xa0", "\x1c", ". ", ".", "?!", ";", ", ", " : ", "\u2028")
+# One later file differs from the first in one of these ways.
+CHANGES = ("changed", "added", "dropped", "sigma", "wide")
+
+
+@st.composite
+def text_documents(draw):
+    """The files of one text document.  Every later file is the first's
+    words in other case, with commas and colons inside them and other
+    runs between them; in most documents one later file also differs by a
+    changed, added or dropped word, a capital sigma or a character above
+    U+00FF."""
+    words = draw(st.lists(st.text(WORD_CHARACTERS, min_size=1, max_size=4),
+                          min_size=1, max_size=8))
+    names = ["ref_1", "ref_2", *draw(st.sampled_from([[], ["ref_3"]])),
+             *draw(st.sampled_from([[], ["sys_A"], ["sys_A", "sys_B"]]))]
+    change = draw(st.sampled_from(("same",) * 4 + CHANGES))
+    changed = draw(st.integers(1, len(names) - 1))
+    files = {}
+    for i, name in enumerate(names):
+        variant = list(words) if i == 0 else [
+            "".join(upper_alike(ch) if draw(st.booleans()) else ch for ch in word)
+            for word in words]
+        at = draw(st.integers(0, len(words) - 1))
+        if i == changed and change != "same":
+            mark = {"changed": "z", "sigma": "Σ", "wide": draw(st.sampled_from("āȺ\u2019"))}
+            if change in mark:
+                variant[at] += mark[change]
+            elif change == "added":
+                variant.insert(at, "z")
+            elif len(variant) > 1:
+                del variant[at]
+        elif i:
+            cut = draw(st.integers(0, len(variant[at])))
+            variant[at] = variant[at][:cut] + draw(st.sampled_from(",:")) + variant[at][cut:]
+        runs = draw(st.lists(st.sampled_from(RUNS), min_size=len(variant),
+                             max_size=len(variant)))
+        files[f"{name}.txt"] = "".join(word + run for word, run in zip(variant, runs))
+    return files
+
+
+@given(text_documents())
+@example({"ref_1.txt": "go on. stop here.", "ref_2.txt": "go on. stop there."})
+@example({"ref_1.txt": "go on. stop here.", "ref_2.txt": "go on. sto phere."})
+@example({"ref_1.txt": "go\u2028on.", "ref_2.txt": "go on.", "sys_A.txt": "go in."})
+def test_load_document_matches_the_per_file_loader(files):
+    """Loading against the first file's transcript gives the document of
+    the per-file loader it replaced, every file sharing the first file's
+    transcript, or fails with the same error, message and alignment
+    fields."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        write_files(Path(tmp) / "d", files)
+        [document_files] = load_corpus(tmp).documents
+        expected = _outcome(lambda: load_text_document_by_files(document_files))
+        parsed = _recorded_parses(mp)
+        loaded = _outcome(lambda: load_document(document_files))
+    assert loaded == expected
+    if loaded[0] == "ok":
+        assert len(parsed) == len(files)
+        assert all(transcript is loaded[1].transcript for transcript, _ in parsed)
 
 
 def test_load_structured_document(tmp_path):
@@ -189,13 +311,6 @@ def test_load_structured_rejects_malformed_payloads(tmp_path, payload, error):
     error, match = error if isinstance(error, tuple) else (error, None)
     with pytest.raises(error, match=match):
         load_document(load_corpus(tmp_path).documents[0])
-
-
-def _outcome(call):
-    try:
-        return "ok", call()
-    except Exception as exc:
-        return "error", type(exc), str(exc)
 
 
 def _plain(layout):

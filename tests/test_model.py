@@ -13,7 +13,7 @@ from wisebe import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
 from wisebe.baselines import lenient_prf
 from wisebe.model import _DELETE, _TABLE, INTERNAL_MARKS, SU_DELIMITERS, _scan, align
 from oracles import scan_by_characters, scan_by_regex, transcript_error_by_tokens
-from strategies import bit_lists, segmented_texts, tokens
+from strategies import bit_lists, segmented_texts, tokens, upper_alike
 
 # Characters where the unit-length scanner could part ways with the
 # per-character and regex ones: delimiters and internal marks, the
@@ -167,11 +167,6 @@ WIDE_TEXT = st.builds(lambda text, at, wide: text[:at] + wide + text[at:],
 WHITESPACE = " \t\r\n\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
 
 
-def _upper(ch: str) -> str:
-    """`ch` in upper case where that lowers back to what `ch` lowers to."""
-    return ch.upper() if ch.upper().lower() == ch.lower() else ch
-
-
 @st.composite
 def texts_and_bases(draw):
     """A text, and a transcript to parse it against: mostly that of a
@@ -182,7 +177,7 @@ def texts_and_bases(draw):
     raw = draw(draw(st.sampled_from((LATIN1_TEXT, LATIN1_TEXT, LATIN1_TEXT, WIDE_TEXT))))
     swaps = {**dict.fromkeys(SU_DELIMITERS, st.sampled_from(sorted(SU_DELIMITERS))),
              **dict.fromkeys(WHITESPACE, st.sampled_from(WHITESPACE))}
-    variant = "".join(draw(swaps[ch]) if ch in swaps else _upper(ch) if draw(st.booleans())
+    variant = "".join(draw(swaps[ch]) if ch in swaps else upper_alike(ch) if draw(st.booleans())
                       else ch for ch in raw)
     kind = draw(st.sampled_from(["same"] * 5 + ["swapped", "added", "other"]))
     if kind == "swapped":

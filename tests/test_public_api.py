@@ -97,16 +97,16 @@ def _runs(python, env):
 
 
 def test_goldens_match_on_the_oldest_supported_python():
-    """pyproject.toml promises Python >= 3.10; skipped where no working
-    `python3.10` is on PATH.  A pyenv shim that fails on its own is run
-    with PYENV_VERSION set to the newest installed 3.10."""
-    python, env, pyenv = shutil.which("python3.10"), dict(os.environ), shutil.which("pyenv")
+    """pyproject.toml promises Python >= 3.11; skipped where no working
+    `python3.11` is on PATH.  A pyenv shim that fails on its own is run
+    with PYENV_VERSION set to the newest installed 3.11."""
+    python, env, pyenv = shutil.which("python3.11"), dict(os.environ), shutil.which("pyenv")
     if python and pyenv and not _runs(python, env):
-        latest = subprocess.run([pyenv, "latest", "3.10"], capture_output=True, text=True)
+        latest = subprocess.run([pyenv, "latest", "3.11"], capture_output=True, text=True)
         if latest.returncode == 0:
             env["PYENV_VERSION"] = latest.stdout.strip()
     if python is None or not _runs(python, env):
-        pytest.skip("python3.10 is not available")
+        pytest.skip("python3.11 is not available")
     run = subprocess.run([python, str(REPO_ROOT / "benchmarks" / "goldens.py")],
                          capture_output=True, text=True, cwd=REPO_ROOT, env=env)
     assert run.returncode == 0, run.stdout + run.stderr
