@@ -86,12 +86,14 @@ class GeneralReference(NamedTuple):
 
 def build_general_reference(refs: ReferenceSet) -> GeneralReference:
     """The vote profile of a reference set, even one that marks nothing."""
-    at_least = [(1 << refs.n) - 1] + [0] * refs.m
+    m = refs.m
+    at_least = [(1 << refs.n) - 1] + [0] * m
     for ref in refs.references:
         # A position this reference marks moves up one vote; d descends so
         # at_least[d - 1] still holds the count before this reference.
-        for d in range(refs.m, 0, -1):
-            at_least[d] |= at_least[d - 1] & ref.mask
+        mask = ref.mask
+        for d in range(m, 0, -1):
+            at_least[d] |= at_least[d - 1] & mask
     return GeneralReference(refs.doc_id, refs.n, tuple(at_least))
 
 

@@ -29,7 +29,7 @@ class PRF(NamedTuple):
 
 def strict_prf(cand: BoundaryVector, ref: BoundaryVector) -> PRF:
     """Position-exact precision/recall/F1 against a single reference."""
-    check_aligned(cand, ref, f"candidate vs reference {ref.label!r}")
+    check_aligned(cand, ref, "candidate vs reference {!r}", ref.label)
     return mask_prf(cand.mask, ref.mask)
 
 

@@ -56,7 +56,7 @@ class Document(NamedTuple("Document", [("transcript", Transcript), ("references"
     __slots__ = ()
 
     def __new__(cls, transcript: Transcript, references: ReferenceSet, candidates):
-        check_aligned(references, transcript, f"references of document {transcript.doc_id!r}",
+        check_aligned(references, transcript, "references of document {!r}", transcript.doc_id,
                       strict_doc_id=True)
         return tuple.__new__(cls, (transcript, references, candidates))
 
@@ -137,7 +137,7 @@ def load_corpus(root: str | Path) -> CorpusLayout:
                                            structured_path=path))
         else:
             warnings.append(f"{path}: not a document directory or structured document, ignored")
-    _unique([(files.doc_id, files) for files in documents], f"{root}: document id")
+    _unique([(files.doc_id, files) for files in documents], "{}: document id", root)
     documents.sort(key=attrgetter("doc_id"))
     return CorpusLayout(tuple(documents), tuple(warnings))
 
@@ -154,21 +154,22 @@ def _positions_vector(raw, n: int, doc_id: str, name: str, origin: str) -> Bound
         raise ValueError(f"{doc_id}/{name}: {exc}") from None
 
 
-def _unique(pairs, what: str) -> dict:
+def _unique(pairs, what: str, *args) -> dict:
     """`pairs` as a dict, where a repeated key is a DuplicateLabel rather
-    than a silent overwrite; `what` names the kind of key in the message."""
+    than a silent overwrite; `what.format(*args)` names the kind of key in
+    the message, built only then, as `check_aligned` builds its own."""
     data = dict(pairs)
     if len(data) < len(pairs):
         keys = [key for key, _ in pairs]
         key = next(key for key in keys if keys.count(key) > 1)
-        raise DuplicateLabel(f"{what} {key!r} is given {keys.count(key)} times")
+        raise DuplicateLabel(f"{what.format(*args)} {key!r} is given {keys.count(key)} times")
     return data
 
 
 def _load_structured(path: Path, doc_id: str) -> Document:
     try:
         data = json.loads(_read_text(path),
-                          object_pairs_hook=lambda pairs: _unique(pairs, f"{path}: key"))
+                          object_pairs_hook=lambda pairs: _unique(pairs, "{}: key", path))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
@@ -177,7 +178,7 @@ def _load_structured(path: Path, doc_id: str) -> Document:
     if unknown := sorted(data.keys() - expected):
         raise ValueError(f"{path}: unknown key {unknown[0]!r}, expected {expected}")
     tokens = data.get("tokens")
-    if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
+    if not isinstance(tokens, list):
         raise ValueError(f"{path}: 'tokens' must be a list of strings")
     references = data.get("references")
     if not isinstance(references, dict):
@@ -193,7 +194,10 @@ def _load_structured(path: Path, doc_id: str) -> Document:
             name.encode("utf-8")
         except UnicodeEncodeError:
             raise ValueError(f"{path}: key {name!r} is not valid UTF-8") from None
-    transcript = Transcript(doc_id, tuple(tokens))
+    try:
+        transcript = Transcript(doc_id, tokens)
+    except TypeError:    # its join takes str members only
+        raise ValueError(f"{path}: 'tokens' must be a list of strings") from None
     refs = tuple(
         _positions_vector(references[name], transcript.n, doc_id, name, REFERENCE)
         for name in sorted(references)
@@ -241,7 +245,7 @@ def load_document(files: DocumentFiles) -> Document:
     if files.structured_path is not None:
         return _load_structured(files.structured_path, files.doc_id)
     for kind, entries in (("reference", files.ref_paths), ("system", files.sys_paths)):
-        _unique(entries, f"document {files.doc_id!r}: {kind} label")
+        _unique(entries, "document {!r}: {} label", files.doc_id, kind)
     base: Transcript | None = None
     base_label = canon = ""
     refs: list[BoundaryVector] = []

@@ -42,7 +42,8 @@ class Transcript(NamedTuple("Transcript", [("doc_id", str), ("tokens", tuple[str
         if not tokens:
             raise EmptyTranscript(f"transcript {doc_id!r} has no tokens")
         # A few C-level substring tests accept clean tokens; the loop only
-        # finds the first offender for the message.
+        # finds the first offender for the message.  The join raises
+        # TypeError on any member that is not a str.
         joined = "\x00".join(tokens)
         if "" in tokens or any(mark in joined for mark in SU_DELIMITERS):
             for j, token in enumerate(tokens):
@@ -134,18 +135,21 @@ class BoundaryVector(NamedTuple("BoundaryVector", [("doc_id", str), ("origin", s
         return cls(doc_id, flags, origin, label)
 
 
-def check_aligned(left, right, what: str, strict_doc_id: bool = False) -> None:
+def check_aligned(left, right, what: str, *args, strict_doc_id: bool = False) -> None:
     """Raise AlignmentError unless `left` and `right` (anything with `n`
     and `doc_id`) cover the same positions of the same document.
 
+    The message is led by `what.format(*args)`, built only on failure, so
+    `what` is always a template: a label or id holding braces goes in `args`.
     Lengths are checked before document ids.  An empty doc id matches
     any other unless `strict_doc_id` is set.
     """
     if left.n != right.n:
-        raise AlignmentError(f"{what}: {left.n} vs {right.n} positions",
+        raise AlignmentError(f"{what.format(*args)}: {left.n} vs {right.n} positions",
                              position=min(left.n, right.n))
     if left.doc_id != right.doc_id and (strict_doc_id or (left.doc_id and right.doc_id)):
-        raise AlignmentError(f"{what}: document {left.doc_id!r} vs {right.doc_id!r}")
+        raise AlignmentError(
+            f"{what.format(*args)}: document {left.doc_id!r} vs {right.doc_id!r}")
 
 
 class ReferenceSet(NamedTuple("ReferenceSet", [("doc_id", str),
@@ -164,7 +168,7 @@ class ReferenceSet(NamedTuple("ReferenceSet", [("doc_id", str),
         for ref in refs:
             if ref.origin != REFERENCE:
                 raise ValueError(f"{ref.label!r} is not a reference segmentation")
-            check_aligned(ref, self, f"reference {ref.label!r} of document {doc_id!r}",
+            check_aligned(ref, self, "reference {!r} of document {!r}", ref.label, doc_id,
                           strict_doc_id=True)
         return self
 

@@ -235,7 +235,7 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        return f"{_round3(x):.3f}"
+        return f"{x:.3f}"    # rounds the exact value half-even, as _round3 does
     return str(x)
 
 

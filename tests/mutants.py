@@ -132,11 +132,25 @@ MUTANTS = (
            "elif transcript is not base:", "else:",
            ("tests/test_corpus.py::test_a_later_file_sharing_the_transcript_is_not_aligned",)),
     Mutant("references never checked against the transcript", "src/wisebe/corpus.py",
-           "        check_aligned(references, transcript, "
-           'f"references of document {transcript.doc_id!r}",\n'
+           '        check_aligned(references, transcript, "references of document {!r}", '
+           "transcript.doc_id,\n"
            "                      strict_doc_id=True)\n", "",
            ("tests/test_report.py::test_references_must_cover_the_transcript",
             "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
+    Mutant("reference message arguments swapped", "src/wisebe/model.py",
+           '"reference {!r} of document {!r}", ref.label, doc_id,',
+           '"reference {!r} of document {!r}", doc_id, ref.label,',
+           ("tests/test_corpus.py::test_failure_messages_keep_braces_in_names",)),
+    Mutant("reference message formatted before the check", "src/wisebe/model.py",
+           '"reference {!r} of document {!r}", ref.label, doc_id,',
+           'f"reference {ref.label!r} of document {doc_id!r}",',
+           ("tests/test_corpus.py::test_failure_messages_keep_braces_in_names",)),
+    Mutant("a token that is not a string raises a bare TypeError", "src/wisebe/corpus.py",
+           "    try:\n        transcript = Transcript(doc_id, tokens)\n"
+           "    except TypeError:    # its join takes str members only\n"
+           "        raise ValueError(f\"{path}: 'tokens' must be a list of strings\") from None\n",
+           "    transcript = Transcript(doc_id, tokens)\n",
+           ("tests/test_cli.py::test_a_token_that_is_not_a_string_is_a_document_error",)),
     Mutant("Document._make skips the constructor", "src/wisebe/corpus.py",
            "_make = classmethod(lambda cls, fields: cls(*fields))",
            "_make = classmethod(lambda cls, fields: tuple.__new__(cls, fields))",
@@ -161,7 +175,7 @@ MUTANTS = (
            "limit = min(separation_limit + 1, general.n)",
            ("tests/test_kernel.py::test_kernel_matches_oracles_across_digits",)),
     Mutant("vote profile counted upward", "src/wisebe/aggregation.py",
-           "for d in range(refs.m, 0, -1):", "for d in range(1, refs.m + 1):",
+           "for d in range(m, 0, -1):", "for d in range(1, m + 1):",
            ("tests/test_aggregation.py::test_general_reference_counts_votes",
             "tests/test_agreement.py::test_kappa_hand_computed_value")),
     Mutant("span fill one step short", "src/wisebe/aggregation.py",
@@ -203,6 +217,9 @@ MUTANTS = (
            '                  if args.command == "score" else load_corpus(args.root))\n'
            '        if args.command == "agreement":',
            ("tests/test_cli.py::test_option_out_of_range_exits_two",)),
+    Mutant("collector left paused after a run", "src/wisebe/cli.py",
+           "        if collecting:\n            gc.enable()\n", "        pass\n",
+           ("tests/test_cli.py::test_main_pauses_the_collector_and_restores_the_callers_state",)),
     Mutant("window limit -1 accepted", "src/wisebe/report.py",
            "if window_limit < 0:", "if window_limit < -1:",
            ("tests/test_cli.py::test_option_out_of_range_exits_two",

@@ -124,6 +124,12 @@ def pearson_by_moments(xs, ys):
     return cov / (var_x * var_y) ** 0.5
 
 
+def cell_by_rounding(x):
+    """A float's report cell as the renderer once built it: rounded to
+    three decimals, then printed with three."""
+    return f"{round(x, 3):.3f}"
+
+
 def scan_by_characters(raw_text):
     """(tokens, bits) of punctuated text, one character at a time.
 

@@ -1,8 +1,11 @@
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
@@ -10,8 +13,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import wisebe
+from wisebe import cli
 from wisebe.cli import main
-from wisebe.report import DocumentError, EvaluationReport, render_report
+from wisebe.report import DocumentError, EvaluationReport, evaluate_agreement, render_report
 from strategies import TEXT_CONTENTS, corpus_trees, run_cli, write_files, write_tree
 
 
@@ -488,6 +492,87 @@ def test_empty_label_is_a_document_error(tmp_path, section):
     [error] = json.loads(err)["errors"]
     assert (error["doc_id"], error["kind"]) == ("a", "ValueError")
     assert error["message"] == f"{root / 'a.json'}: empty key in {section!r}"
+
+
+@pytest.mark.parametrize("member", [1, 1.5, True, None, ["go"], {"go": 1}],
+                         ids=["int", "float", "bool", "null", "list", "object"])
+@pytest.mark.parametrize("before, after", [
+    ([], ["on", "now"]), (["go"], ["now"]), (["go", "on"], []), (["go", ""], []),
+], ids=["first", "middle", "last", "after-empty-token"])
+def test_a_token_that_is_not_a_string_is_a_document_error(tmp_path, member, before, after):
+    tokens = [*before, member, *after]
+    root = write_files(tmp_path / "corpus", {"a.json": json.dumps(
+        {"tokens": tokens, "references": {"r1": [2], "r2": [1, 2]}})})
+    code, _, err = run_cli(["eval", str(root)], tmp_path / "out")
+    assert code == 1
+    [error] = json.loads(err)["errors"]
+    assert error == {"doc_id": "a", "kind": "ValueError",
+                     "message": f"{root / 'a.json'}: 'tokens' must be a list of strings"}
+
+
+@pytest.fixture
+def collector():
+    """Gives the cyclic collector back to the rest of the session as it was."""
+    collecting = gc.isenabled()
+    yield
+    (gc.enable if collecting else gc.disable)()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collecting", "paused"])
+@pytest.mark.parametrize("case", ["exit-0", "exit-1", "exit-2", "raises"])
+def test_main_pauses_the_collector_and_restores_the_callers_state(
+        demo_corpus, tmp_path, monkeypatch, collector, collecting, case):
+    root = {"exit-0": demo_corpus, "raises": demo_corpus, "exit-2": tmp_path / "none",
+            "exit-1": write_files(tmp_path / "corpus", {"a/ref_1.txt": "yes sir.",
+                                                        "a/ref_2.txt": "no sir."})}[case]
+    seen = []
+
+    def evaluate(layout):
+        seen.append(gc.isenabled())
+        if case == "raises":
+            raise RuntimeError("not a user error")
+        return evaluate_agreement(layout)
+
+    monkeypatch.setattr(cli, "evaluate_agreement", evaluate)
+    (gc.enable if collecting else gc.disable)()
+    argv = ["agreement", str(root), "--output", str(tmp_path / "out")]
+    if case == "raises":
+        with pytest.raises(RuntimeError, match="^not a user error$"):
+            main(argv)
+    else:
+        with redirect_stderr(io.StringIO()):
+            assert main(argv) == int(case[-1])
+    assert gc.isenabled() is collecting
+    assert seen == ([] if case == "exit-2" else [False])
+
+
+@pytest.mark.parametrize("command", [
+    ["agreement"], ["eval", "--baselines", "--threshold", "2", "--format", "json"],
+    ["eval", "--format", "table"],
+])
+def test_a_paused_run_leaves_as_much_cyclic_garbage_for_any_corpus_size(tmp_path, collector,
+                                                                        command):
+    """What the pause holds back until the run ends does not grow with the
+    corpus: reference counting frees every record of every document."""
+    def garbage(docs):
+        files = {}
+        for i in range(docs):
+            if i % 2:
+                files.update({f"d{i}/ref_1.txt": "go on. stop here.",
+                              f"d{i}/ref_2.txt": "go on stop. here.",
+                              f"d{i}/sys_S.txt": "go. on stop here."})
+            else:
+                files[f"d{i}.json"] = json.dumps({"tokens": ["go", "on", "stop", "here"],
+                                                  "references": {"r1": [1, 3], "r2": [2, 3]},
+                                                  "systems": {"S": [0, 3]}})
+        root = write_files(tmp_path / str(docs), files)
+        gc.collect()
+        code, _, err = run_cli([command[0], str(root), *command[1:]], tmp_path / "out")
+        assert (code, err) == (0, "")
+        return gc.collect()
+
+    gc.disable()
+    assert garbage(3) == garbage(30) > 0
 
 
 # Run in a fresh interpreter: prints the probed modules loaded before

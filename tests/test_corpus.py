@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from wisebe import (AlignmentError, DuplicateLabel, MissingReferences,
-                    load_corpus, load_document)
+from wisebe import (CANDIDATE, AlignmentError, BoundaryVector, Document, DuplicateLabel,
+                    MissingReferences, ReferenceSet, Transcript, load_corpus, load_document,
+                    strict_prf)
 from wisebe import corpus
-from wisebe.corpus import READ_CHUNK, _read_text
+from wisebe.corpus import READ_CHUNK, DocumentFiles, _read_text
 from wisebe.model import _scan, parse_segmented_text
 from oracles import corpus_by_iterdir, load_text_document_by_files
 from strategies import corpus_trees, upper_alike, write_files, write_tree
@@ -51,6 +52,52 @@ def test_load_corpus_rejects_duplicate_doc_ids(tmp_path):
     with pytest.raises(DuplicateLabel, match=f"^{re.escape(str(tmp_path))}: document id 'a' "
                                              "is given 2 times$"):
         load_corpus(tmp_path)
+
+
+def _refs(doc_id, *lengths):
+    """References of `doc_id` labelled r{}, r{0}, ..., one per length."""
+    return tuple(BoundaryVector(doc_id, bytes(n - 1) + b"\x01", label=label)
+                 for n, label in zip(lengths, ("r{}", "r{0}", "r{1}")))
+
+
+# Each builds its message from names that hold braces: a message
+# template given them already formatted would fail on those braces.
+BRACED_FAILURES = {
+    "reference-set": (
+        lambda: ReferenceSet("d{0}", _refs("d{0}", 2, 3)),
+        AlignmentError, "reference 'r{0}' of document 'd{0}': 3 vs 2 positions"),
+    "reference-set-doc-id": (
+        lambda: ReferenceSet("d{0}", (*_refs("d{0}", 2), *_refs("e{}", 2))),
+        AlignmentError, "reference 'r{}' of document 'd{0}': document 'e{}' vs 'd{0}'"),
+    "document": (
+        lambda: Document(Transcript("d{}", ["a"]), ReferenceSet("d{}", _refs("d{}", 3, 3)), ()),
+        AlignmentError, "references of document 'd{}': 3 vs 1 positions"),
+    "reference-labels": (
+        lambda: load_document(DocumentFiles("d{0}", (("r{}", Path("x")), ("r{}", Path("y"))), ())),
+        DuplicateLabel, "document 'd{0}': reference label 'r{}' is given 2 times"),
+    "system-labels": (
+        lambda: load_document(DocumentFiles("d{}", (), (("s{0}", Path("x")), ("s{0}", Path("y"))))),
+        DuplicateLabel, "document 'd{}': system label 's{0}' is given 2 times"),
+    "strict-prf": (
+        lambda: strict_prf(BoundaryVector("d", b"\x00\x01", CANDIDATE), _refs("d", 3)[0]),
+        AlignmentError, "candidate vs reference 'r{}': 2 vs 3 positions"),
+    "json-key": (
+        lambda: load_document(load_corpus(write_files(Path("c{}"), {
+            "a{0}.json": '{"tokens": ["a"], "tokens": ["b"]}'})).documents[0]),
+        DuplicateLabel, "c{}/a{0}.json: key 'tokens' is given 2 times"),
+    "document-id": (
+        lambda: load_corpus(write_files(Path("c{0}"), {"d{}/ref_1.txt": "a.", "d{}.json": "{}"})),
+        DuplicateLabel, "c{0}: document id 'd{}' is given 2 times"),
+}
+
+
+@pytest.mark.parametrize("case", BRACED_FAILURES)
+def test_failure_messages_keep_braces_in_names(tmp_path, monkeypatch, case):
+    build, error, message = BRACED_FAILURES[case]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 def test_load_corpus_rejects_missing_root(tmp_path):
@@ -305,6 +352,10 @@ def test_load_structured_document(tmp_path):
                  (ValueError, r"a\.json: unknown key 'system', "
                               r"expected \['references', 'systems', 'tokens'\]$"),
                  id="unknown-key"),
+    # the members of 'tokens' are checked after the shape of the other keys
+    pytest.param({"tokens": ["a", 1], "references": [[0], [1]]},
+                 (ValueError, r"a\.json: 'references' must be an object$"),
+                 id="non-string-token-and-references-list"),
 ])
 def test_load_structured_rejects_malformed_payloads(tmp_path, payload, error):
     write_files(tmp_path, {"a.json": json.dumps(payload)})

@@ -5,12 +5,15 @@ from operator import attrgetter
 from statistics import fmean
 
 import pytest
+from hypothesis import example, given
+import hypothesis.strategies as st
 
 from wisebe import (AlignmentError, BadThreshold, Document, EvalConfig,
                     Transcript, UnknownFormat, evaluate_agreement,
                     evaluate_corpus, evaluate_document, load_corpus,
                     load_document, render_agreement, render_report)
-from wisebe.report import EvaluationReport
+from wisebe.report import EvaluationReport, _fmt
+from oracles import cell_by_rounding
 from strategies import reference_set, write_files
 
 # The json and csv fields of a report with no baseline columns, as README lists them.
@@ -217,3 +220,12 @@ def test_undefined_kappa_is_left_out_of_means_and_correlation(demo_corpus, tmp_p
     assert s1.kappa is None
     assert s1.score.wisebe == pytest.approx(fmean(r.score.wisebe for r in report.rows
                                                   if r.system == "S1"), abs=1e-15)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(0.0625)     # an exact tie at three decimals: half-even gives 0.062
+@example(2.5e-4)     # a decimal tie whose binary value lies just above it
+def test_cells_print_as_once_rounded_and_printed(x):
+    assert _fmt(x) == cell_by_rounding(x)
