@@ -246,23 +246,25 @@ def load_document(files: DocumentFiles) -> Document:
         return _load_structured(files.structured_path, files.doc_id)
     for kind, entries in (("reference", files.ref_paths), ("system", files.sys_paths)):
         _unique(entries, "document {!r}: {} label", files.doc_id, kind)
-    base: Transcript | None = None
-    base_label = canon = ""
+    shared: tuple[Transcript, str] | None = None
+    first_label = ""
     refs: list[BoundaryVector] = []
     cands: list[tuple[str, BoundaryVector]] = []
     for origin, entries in ((REFERENCE, files.ref_paths), (CANDIDATE, files.sys_paths)):
         # In label order, as a structured document is read; labels are unique.
         for label, path in sorted(entries):
             transcript, vector = parse_segmented_text(
-                _read_text(path), files.doc_id, label, origin, base=base, _canon=canon
+                _read_text(path), files.doc_id, label, origin, _shared=shared
             )
-            if base is None:
-                base, base_label, canon = transcript, label, " ".join(transcript.tokens)
-            elif transcript is not base:
-                align(base, transcript,
-                      f"document {files.doc_id!r}: {label} does not align with {base_label}: ")
+            if shared is None:
+                shared, first_label = (transcript, " ".join(transcript.tokens)), label
+            elif transcript is not shared[0]:
+                align(shared[0], transcript,
+                      f"document {files.doc_id!r}: {label} does not align with {first_label}: ")
             if origin == REFERENCE:
                 refs.append(vector)
             else:
                 cands.append((label, vector))
-    return Document(base, ReferenceSet(files.doc_id, tuple(refs)), tuple(cands))
+    # Built first, so a directory with no file fails as one with too few references.
+    references = ReferenceSet(files.doc_id, tuple(refs))
+    return Document(shared[0], references, tuple(cands))

@@ -229,13 +229,13 @@ def _scan(raw_text: str, shared: tuple[str, ...] = (), canon: str = ""
     keep the lowering per character, as in that scanner.
 
     `shared` is the token tuple of another file of the same transcript,
-    and `canon` its space-joined text, which a caller scanning several
-    files against one `shared` builds once (when empty, it is joined
-    here).  When `shared` is given and the text is below U+0100, the
-    units are first read from the normalized bytes, which makes no `str`
-    per token.  If there are as many tokens as in `shared` and their
-    space-joined text is `canon`, they are its tokens, as no scanned
-    token holds a space, and `shared` itself is returned with the flags.
+    and `canon` its space-joined text, which the caller builds once for
+    all the files it scans against `shared`.  When `shared` is given and
+    the text is below U+0100, the units are first read from the
+    normalized bytes, which makes no `str` per token.  If there are as
+    many tokens as in `shared` and their space-joined text is `canon`,
+    they are its tokens, as no scanned token holds a space, and `shared`
+    itself is returned with the flags.
     Otherwise the text is read as `str`, as without `shared`.
     """
     try:
@@ -250,7 +250,6 @@ def _scan(raw_text: str, shared: tuple[str, ...] = (), canon: str = ""
     else:
         if shared:
             tokens, flags = _units(data, b".")
-            canon = canon or " ".join(shared)
             if len(tokens) == len(shared) and b" ".join(tokens).decode("latin-1") == canon:
                 return shared, flags
         text = data.decode("latin-1")
@@ -258,30 +257,23 @@ def _scan(raw_text: str, shared: tuple[str, ...] = (), canon: str = ""
 
 
 def parse_segmented_text(raw_text: str, doc_id: str = "", label: str = "",
-                         origin: str = REFERENCE, *, base: Transcript | None = None,
-                         _canon: str = "") -> tuple[Transcript, BoundaryVector]:
+                         origin: str = REFERENCE, *,
+                         _shared: tuple[Transcript, str] | None = None
+                         ) -> tuple[Transcript, BoundaryVector]:
     """Split punctuated text into its transcript and boundary vector.
 
     A unit-final mark (. ? ! ;) closes the unit after the preceding token;
     runs of marks collapse into one boundary; commas and colons are dropped.
-    `_scan` gives no empty token and none holding a unit-final mark, so
-    Transcript's checks, which would make a `text_eval` benchmark run
-    about 1% slower, are skipped.  `base` is a transcript that the
-    text is expected to hold, such as another file's of the same
-    document: when the text holds its tokens and `doc_id` is its
-    document id, `base` itself is returned, and any other text is parsed
-    as without it.  So a returned `base` holds the text's tokens, checked
-    on the whole joined text or tuple.  The private `_canon` is
-    `" ".join(base.tokens)`, which `load_document` builds once per
-    document; without it, the join is made here.
+    The private `_shared` is a document's first transcript and the
+    space-joined text of its tokens, which `load_document` builds once
+    and passes with each later file: a text that holds those tokens gets
+    that transcript back, and any other text is parsed as without it.
     """
-    shared = base.tokens if base is not None and base.doc_id == doc_id else ()
-    tokens, flags = _scan(raw_text, shared, _canon)
-    if not tokens:
-        Transcript(doc_id, ())      # raises EmptyTranscript
-    # Text beyond Latin-1 is read as str only, and may hold base's tokens too.
-    if tokens is not shared and (tokens := tuple(tokens)) != shared:
-        base = tuple.__new__(Transcript, (doc_id, tokens))
+    base, canon = _shared or (None, "")
+    tokens, flags = _scan(raw_text, base.tokens if base else (), canon)
+    # Text beyond Latin-1 is read as str only, and may hold the shared tokens too.
+    if base is None or tokens is not base.tokens and tuple(tokens) != base.tokens:
+        base = Transcript(doc_id, tokens)
     return base, BoundaryVector(doc_id, flags, origin, label)
 
 

@@ -84,17 +84,18 @@ MUTANTS = (
            'if "" in tokens:',
            ("tests/test_model.py::test_transcript_rejects_delimiter_inside_token",
             "tests/test_model.py::test_transcript_validation_matches_the_token_loop")),
+    Mutant("transcript accepts no tokens", "src/wisebe/model.py",
+           "        if not tokens:\n"
+           "            raise EmptyTranscript(f\"transcript {doc_id!r} has no tokens\")\n", "",
+           ("tests/test_model.py::test_parse_rejects_effectively_empty_input",
+            "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
     Mutant("bit check accepts 2", "src/wisebe/model.py",
            '_TO_DIGITS = b"01".ljust(256, b"2")', '_TO_DIGITS = b"011".ljust(256, b"2")',
            ("tests/test_model.py::test_boundary_vector_validates_bits",)),
-    Mutant("unchecked parse accepts token-free text", "src/wisebe/model.py",
-           "Transcript(doc_id, ())      # raises EmptyTranscript", "pass",
-           ("tests/test_model.py::test_parse_rejects_effectively_empty_input",
-            "tests/test_model.py::test_parse_skips_checks_that_scan_output_always_passes")),
-    Mutant("unchecked parse keeps the token list", "src/wisebe/model.py",
-           "(tokens := tuple(tokens))", "(tokens := tokens)",
-           ("tests/test_model.py::test_parse_skips_checks_that_scan_output_always_passes",
-            "tests/test_model.py::test_parse_against_a_base_matches_the_plain_parse")),
+    Mutant("parser builds its transcript with tuple.__new__", "src/wisebe/model.py",
+           "base = Transcript(doc_id, tokens)",
+           "base = tuple.__new__(Transcript, (doc_id, tuple(tokens)))",
+           ("tests/test_model.py::test_parse_builds_its_transcript_through_the_constructor",)),
     Mutant("shared path accepts a file on its token count alone", "src/wisebe/model.py",
            'if len(tokens) == len(shared) and b" ".join(tokens).decode("latin-1") == canon:',
            "if len(tokens) == len(shared):",
@@ -107,29 +108,30 @@ MUTANTS = (
            ("tests/test_model.py::test_parse_against_a_base_matches_the_plain_parse",
             "tests/test_corpus.py::test_a_later_file_that_does_not_align_fails_as_before",
             "tests/test_corpus.py::test_load_document_matches_the_per_file_loader")),
-    Mutant("base returned for another document id", "src/wisebe/model.py",
-           "base.tokens if base is not None and base.doc_id == doc_id else ()",
-           "base.tokens if base is not None else ()",
-           ("tests/test_model.py::test_parse_against_a_base_matches_the_plain_parse",)),
     Mutant("text references read in file-name order", "src/wisebe/corpus.py",
            "for label, path in sorted(entries):", "for label, path in entries:",
            ("tests/test_cli.py::test_text_and_json_layouts_read_references_in_label_order",
             "tests/test_end_to_end.py::"
             "test_reports_are_invariant_under_layout_order_labels_and_other_systems")),
-    Mutant("the document's join never passed on", "src/wisebe/corpus.py",
-           "base=base, _canon=canon", "base=base",
+    Mutant("each later file joins the tokens again", "src/wisebe/corpus.py",
+           "_shared=shared", '_shared=shared and (shared[0], " ".join(shared[0].tokens))',
            ("tests/test_corpus.py::test_later_files_get_the_join_of_the_first_built_once",)),
     Mutant("each file gets the join of the file before it", "src/wisebe/corpus.py",
            "            if origin == REFERENCE:\n",
-           '            canon = " ".join(transcript.tokens)\n'
+           '            shared = transcript, " ".join(transcript.tokens)\n'
            "            if origin == REFERENCE:\n",
            ("tests/test_corpus.py::test_later_files_get_the_join_of_the_first_built_once",)),
+    Mutant("shared transcript read before the reference set", "src/wisebe/corpus.py",
+           "    references = ReferenceSet(files.doc_id, tuple(refs))\n"
+           "    return Document(shared[0], references, tuple(cands))",
+           "    return Document(shared[0], ReferenceSet(files.doc_id, tuple(refs)), tuple(cands))",
+           ("tests/test_corpus.py::test_load_corpus_requires_two_references_per_directory",)),
     Mutant("no later file aligned", "src/wisebe/corpus.py",
-           "elif transcript is not base:", "elif False:",
+           "elif transcript is not shared[0]:", "elif False:",
            ("tests/test_corpus.py::test_a_later_file_that_does_not_align_fails_as_before",
             "tests/test_corpus.py::test_load_document_matches_the_per_file_loader")),
     Mutant("every later file aligned", "src/wisebe/corpus.py",
-           "elif transcript is not base:", "else:",
+           "elif transcript is not shared[0]:", "else:",
            ("tests/test_corpus.py::test_a_later_file_sharing_the_transcript_is_not_aligned",)),
     Mutant("references never checked against the transcript", "src/wisebe/corpus.py",
            '        check_aligned(references, transcript, "references of document {!r}", '

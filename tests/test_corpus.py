@@ -40,11 +40,18 @@ def test_load_corpus_warns_about_strays_instead_of_skipping_silently(tmp_path):
 
 
 def test_load_corpus_requires_two_references_per_directory(tmp_path):
-    write_files(tmp_path / "a", {"ref_1.txt": "go on.", "sys_x.txt": "go on."})
-    [files] = load_corpus(tmp_path).documents
-    with pytest.raises(MissingReferences,
-                       match=r"^document 'a' has 1 reference\(s\), need at least 2$"):
-        load_document(files)
+    """One reference, systems alone, or no file at all: each directory
+    fails alone, with a MissingReferences that counts its references."""
+    cases = {"one": ({"ref_1.txt": "go on.", "sys_x.txt": "go on."}, 1),
+             "systems-only": ({"sys_x.txt": "go on.", "sys_y.txt": "go. on."}, 0),
+             "empty": ({}, 0)}
+    for name, (texts, count) in cases.items():
+        (tmp_path / name / "a").mkdir(parents=True)
+        write_files(tmp_path / name / "a", texts)
+        [files] = load_corpus(tmp_path / name).documents
+        with pytest.raises(MissingReferences) as err:
+            load_document(files)
+        assert str(err.value) == f"document 'a' has {count} reference(s), need at least 2", name
 
 
 def test_load_corpus_rejects_duplicate_doc_ids(tmp_path):
@@ -235,22 +242,22 @@ def test_a_later_file_sharing_the_transcript_is_not_aligned(tmp_path, monkeypatc
 
 
 def test_later_files_get_the_join_of_the_first_built_once(tmp_path, monkeypatch):
-    """The first file is parsed with no base; every later file gets its
-    transcript and one space-joined text of its tokens, the same object
-    for every file."""
+    """The first file is parsed with nothing shared; every later file gets
+    its transcript and one space-joined text of its tokens, the same
+    object for every file."""
     write_files(tmp_path / "a", {"ref_1.txt": "Go on. Stop here.", "ref_2.txt": "go on stop here.",
                                  "ref_3.txt": "go on. stop here",
                                  "sys_S1.txt": "go. on stop here."})
     calls = []
 
     def recorded(*args, **kwargs):
-        calls.append((kwargs.get("base"), kwargs.get("_canon", "")))
+        calls.append(kwargs["_shared"])
         return parse_segmented_text(*args, **kwargs)
 
     monkeypatch.setattr(corpus, "parse_segmented_text", recorded)
     doc = load_document(load_corpus(tmp_path).documents[0])
-    (first_base, first_canon), *later = calls
-    assert (first_base, first_canon, len(later)) == (None, "", 3)
+    first, *later = calls
+    assert (first, len(later)) == (None, 3)
     assert all(base is doc.transcript for base, _ in later)
     assert later[0][1] == "go on stop here"
     assert all(canon is later[0][1] for _, canon in later)

@@ -150,15 +150,24 @@ def _built(call):
 
 @given(st.one_of(st.text(alphabet=SCAN_ALPHABET, max_size=40), st.text()),
        st.sampled_from((REFERENCE, CANDIDATE, "system")))
-def test_parse_skips_checks_that_scan_output_always_passes(raw, origin):
-    """parse_segmented_text skips only the Transcript checks, so it must
-    give what the checked constructors give on _scan's output, and raise
-    what they raise: token-free text fails before a bad origin."""
+def test_parse_builds_its_transcript_through_the_constructor(raw, origin):
+    """parse_segmented_text builds its transcript once, through
+    Transcript's constructor, on _scan's tokens, so it gives what the
+    checked constructors give on _scan's output and raises what they
+    raise: token-free text fails before a bad origin."""
     def checked():
         tokens, flags = _scan(raw)
         return Transcript("d", tokens), BoundaryVector("d", flags, origin, "ref_1")
-    assert (_built(lambda: parse_segmented_text(raw, "d", "ref_1", origin))
-            == _built(checked))
+    constructor, built = Transcript.__new__, []
+
+    def spy(cls, doc_id, tokens):
+        built.append((doc_id, tuple(tokens)))
+        return constructor(cls, doc_id, tokens)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Transcript, "__new__", spy)
+        parsed = _built(lambda: parse_segmented_text(raw, "d", "ref_1", origin))
+    assert parsed == _built(checked)
+    assert built == [("d", tuple(_scan(raw)[0]))]
 
 
 # Texts with a character above U+00FF, which take the general path.
@@ -172,8 +181,8 @@ def texts_and_bases(draw):
     """A text, and a transcript to parse it against: mostly that of a
     variant of the text in case, unit-final marks and whitespace, so the
     two hold the same tokens; otherwise that of the variant with one token
-    swapped or added, or of another text.  The base's document is mostly
-    the text's own, "d"."""
+    swapped or added, or of another text.  The base's document is the
+    text's own, "d", as `load_document` always passes it."""
     raw = draw(draw(st.sampled_from((LATIN1_TEXT, LATIN1_TEXT, LATIN1_TEXT, WIDE_TEXT))))
     swaps = {**dict.fromkeys(SU_DELIMITERS, st.sampled_from(sorted(SU_DELIMITERS))),
              **dict.fromkeys(WHITESPACE, st.sampled_from(WHITESPACE))}
@@ -186,11 +195,10 @@ def texts_and_bases(draw):
         variant += draw(st.sampled_from([" z", ". z", "\xa0z"]))
     elif kind == "other":
         variant = draw(st.one_of(LATIN1_TEXT, WIDE_TEXT))
-    doc_id = draw(st.sampled_from("dddde"))
     try:
-        base, _ = parse_segmented_text(variant, doc_id)
+        base, _ = parse_segmented_text(variant, "d")
     except EmptyTranscript:
-        base = Transcript(doc_id, ("a b",))
+        base = Transcript("d", ("a b",))
     return raw, base
 
 
@@ -200,21 +208,21 @@ def texts_and_bases(draw):
 @example(("a\x1cb. c", Transcript("d", ("a", "b", "c"))))
 @example(("A b. C", Transcript("d", ("a", "b", "d"))))
 @example(("a b", Transcript("d", ("a b",))))
-@example(("a. b", Transcript("e", ("a", "b"))))
 def test_parse_against_a_base_matches_the_plain_parse(raw_and_base):
-    """A base changes no vector and no error, and the transcript is the
-    base itself exactly when the plain parse holds its tokens and the
-    document ids match."""
+    """A base transcript and its join, given as `_shared`, change no
+    vector and no error, and the transcript is the base itself exactly
+    when the plain parse holds its tokens."""
     raw, base = raw_and_base
     plain = _built(lambda: parse_segmented_text(raw, "d", "sys", CANDIDATE))
-    shared = _built(lambda: parse_segmented_text(raw, "d", "sys", CANDIDATE, base=base))
+    shared = _built(lambda: parse_segmented_text(raw, "d", "sys", CANDIDATE,
+                                                 _shared=(base, " ".join(base.tokens))))
     if plain[0] == "error":
         assert shared == plain
         return
     (_, plain_transcript), plain_vector = plain[1]
     (_, transcript), vector = shared[1]
     assert vector == plain_vector
-    if plain_transcript.tokens == base.tokens and base.doc_id == "d":
+    if plain_transcript.tokens == base.tokens:
         assert transcript is base
     else:
         assert (type(transcript), transcript) == (Transcript, plain_transcript)
