@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from operator import attrgetter, lt
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -58,7 +58,7 @@ class Document(NamedTuple("Document", [("transcript", Transcript), ("references"
     def __new__(cls, transcript: Transcript, references: ReferenceSet, candidates):
         check_aligned(references, transcript, "references of document {!r}", transcript.doc_id,
                       strict_doc_id=True)
-        return tuple.__new__(cls, (transcript, references, candidates))
+        return tuple.__new__(cls, (transcript, references, tuple(candidates)))
 
     _make = classmethod(lambda cls, fields: cls(*fields))    # as Transcript._make
 
@@ -142,18 +142,6 @@ def load_corpus(root: str | Path) -> CorpusLayout:
     return CorpusLayout(tuple(documents), tuple(warnings))
 
 
-def _positions_vector(raw, n: int, doc_id: str, name: str, origin: str) -> BoundaryVector:
-    # type() is exact, so True and False (bools) are not integers here.
-    if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
-        raise ValueError(f"{doc_id}/{name}: boundary positions must be a list of integers")
-    if not all(map(lt, raw, raw[1:])):
-        raise ValueError(f"{doc_id}/{name}: boundary positions must be strictly increasing")
-    try:
-        return BoundaryVector.from_positions(n, raw, doc_id, origin, name)
-    except ValueError as exc:
-        raise ValueError(f"{doc_id}/{name}: {exc}") from None
-
-
 def _unique(pairs, what: str, *args) -> dict:
     """`pairs` as a dict, where a repeated key is a DuplicateLabel rather
     than a silent overwrite; `what.format(*args)` names the kind of key in
@@ -198,15 +186,18 @@ def _load_structured(path: Path, doc_id: str) -> Document:
         transcript = Transcript(doc_id, tokens)
     except TypeError:    # its join takes str members only
         raise ValueError(f"{path}: 'tokens' must be a list of strings") from None
-    refs = tuple(
-        _positions_vector(references[name], transcript.n, doc_id, name, REFERENCE)
-        for name in sorted(references)
-    )
-    cands = tuple(
-        (name, _positions_vector(systems[name], transcript.n, doc_id, name, CANDIDATE))
-        for name in sorted(systems)
-    )
-    return Document(transcript, ReferenceSet(doc_id, refs), cands)
+    vectors: dict[str, list[BoundaryVector]] = {REFERENCE: [], CANDIDATE: []}
+    for origin, section in ((REFERENCE, references), (CANDIDATE, systems)):
+        for name in sorted(section):
+            try:    # the list shape is checked here, its members by from_positions
+                if not isinstance(positions := section[name], list):
+                    raise ValueError("boundary positions must be a list of integers")
+                vectors[origin].append(
+                    BoundaryVector.from_positions(transcript.n, positions, doc_id, origin, name))
+            except ValueError as exc:
+                raise ValueError(f"{doc_id}/{name}: {exc}") from None
+    cands = tuple((vector.label, vector) for vector in vectors[CANDIDATE])
+    return Document(transcript, ReferenceSet(doc_id, tuple(vectors[REFERENCE])), cands)
 
 
 def _read_text(path: Path) -> str:

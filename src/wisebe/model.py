@@ -10,6 +10,7 @@ Every metric reads a vector as an int bitmask with bit j for position j.
 from __future__ import annotations
 
 from itertools import compress, count
+from operator import lt
 from typing import Iterable, NamedTuple
 
 from .errors import AlignmentError, EmptyTranscript, MissingReferences
@@ -127,10 +128,17 @@ class BoundaryVector(NamedTuple("BoundaryVector", [("doc_id", str), ("origin", s
     @classmethod
     def from_positions(cls, n: int, positions: Iterable[int], doc_id: str = "",
                        origin: str = REFERENCE, label: str = "") -> "BoundaryVector":
+        """Marks `positions`, any iterable of exact ints, strictly increasing, in 0..n-1."""
+        positions = tuple(positions)
+        if not set(map(type, positions)) <= {int}:    # type() is exact, so bools fail
+            raise ValueError("boundary positions must be a list of integers")
+        if not all(map(lt, positions, positions[1:])):
+            raise ValueError("boundary positions must be strictly increasing")
+        if positions and not 0 <= positions[0] <= positions[-1] < n:    # ordered: test the ends
+            p = next(p for p in positions if not 0 <= p < n)
+            raise ValueError(f"boundary position {p} outside 0..{n - 1}")
         flags = bytearray(n)
         for p in positions:
-            if not 0 <= p < n:
-                raise ValueError(f"boundary position {p} outside 0..{n - 1}")
             flags[p] = 1
         return cls(doc_id, flags, origin, label)
 

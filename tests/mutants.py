@@ -205,14 +205,32 @@ MUTANTS = (
            "return general.at_least[threshold]", "return general.at_least[threshold - 1]",
            ("tests/test_aggregation.py::test_consensus_thresholds",
             "tests/test_kernel.py::test_consensus_matches_counting_oracle")),
-    Mutant(".json references read in key order", "src/wisebe/corpus.py",
-           "for name in sorted(references)", "for name in references",
-           ("tests/test_end_to_end.py::"
-            "test_reports_are_invariant_under_layout_order_labels_and_other_systems",)),
-    Mutant(".json systems read in key order", "src/wisebe/corpus.py",
-           "for name in sorted(systems)", "for name in systems",
-           ("tests/test_end_to_end.py::"
-            "test_reports_are_invariant_under_layout_order_labels_and_other_systems",)),
+    Mutant(".json references and systems read in key order", "src/wisebe/corpus.py",
+           "for name in sorted(section):", "for name in section:",
+           ("tests/test_corpus.py::test_load_structured_rejects_malformed_payloads",
+            "tests/test_end_to_end.py::"
+            "test_reports_are_invariant_under_layout_order_labels_and_other_systems")),
+    Mutant("positions may repeat", "src/wisebe/model.py",
+           "if not all(map(lt, positions, positions[1:])):",
+           "if not all(map(lambda a, b: a <= b, positions, positions[1:])):",
+           ("tests/test_model.py::test_from_positions_rejects_what_the_loader_rejected",
+            "tests/test_model.py::test_from_positions_matches_the_three_walk_loader_rule",
+            "tests/test_corpus.py::test_load_structured_rejects_malformed_payloads")),
+    Mutant("positions range checks one end only", "src/wisebe/model.py",
+           "if positions and not 0 <= positions[0] <= positions[-1] < n:",
+           "if positions and not positions[-1] < n:",
+           ("tests/test_model.py::test_from_positions_round_trips",
+            "tests/test_model.py::test_from_positions_matches_the_three_walk_loader_rule",
+            "tests/test_corpus.py::test_load_structured_rejects_malformed_payloads")),
+    Mutant("bool positions accepted", "src/wisebe/model.py",
+           "if not set(map(type, positions)) <= {int}:",
+           "if not all(isinstance(p, int) for p in positions):",
+           ("tests/test_model.py::test_from_positions_rejects_what_the_loader_rejected",
+            "tests/test_model.py::test_from_positions_matches_the_three_walk_loader_rule",
+            "tests/test_corpus.py::test_load_structured_rejects_malformed_payloads")),
+    Mutant("Document keeps its candidates as given", "src/wisebe/corpus.py",
+           "(transcript, references, tuple(candidates))", "(transcript, references, candidates)",
+           ("tests/test_records.py::test_document_keeps_its_candidates_as_a_tuple",)),
     Mutant("corpus read before the options are checked", "src/wisebe/cli.py",
            'if args.command == "agreement":',
            "layout = (named_files(args.doc_id, args.ref_files, args.system_files or ())\n"

@@ -255,3 +255,19 @@ def load_text_document_by_files(files):
             else:
                 cands.append((label, vector))
     return Document(first, ReferenceSet(files.doc_id, tuple(refs)), tuple(cands))
+
+
+def positions_by_three_walks(raw, n):
+    """The positions a `.json` positions list `raw` marks over n tokens, or
+    the message it is rejected with, as the loader checked it before
+    `BoundaryVector.from_positions` held the whole rule: one walk for
+    exact int types (so no bools), one for strict increase, then one that
+    stops at the first position outside 0..n-1."""
+    if not isinstance(raw, list) or not all(type(p) is int for p in raw):
+        return "boundary positions must be a list of integers"
+    if not all(a < b for a, b in zip(raw, raw[1:])):
+        return "boundary positions must be strictly increasing"
+    for p in raw:
+        if not 0 <= p < n:
+            return f"boundary position {p} outside 0..{n - 1}"
+    return tuple(raw)

@@ -363,6 +363,43 @@ def test_load_structured_document(tmp_path):
     pytest.param({"tokens": ["a", 1], "references": [[0], [1]]},
                  (ValueError, r"a\.json: 'references' must be an object$"),
                  id="non-string-token-and-references-list"),
+    # every positions message, whole: the list shape, then type, order and range
+    pytest.param({"tokens": ["a", "b"], "references": {"r1": 0, "r2": [0]}},
+                 (ValueError, r"^a/r1: boundary positions must be a list of integers$"),
+                 id="positions-not-a-list"),
+    pytest.param({"tokens": ["a", "b"], "references": {"r1": [1], "r2": [True]}},
+                 (ValueError, r"^a/r2: boundary positions must be a list of integers$"),
+                 id="bool-position"),
+    pytest.param({"tokens": ["a", "b"], "references": {"r1": [1], "r2": [0, "1"]}},
+                 (ValueError, r"^a/r2: boundary positions must be a list of integers$"),
+                 id="string-position"),
+    pytest.param({"tokens": ["a", "b"], "references": {"r1": [1, 1, 0.5], "r2": [0]}},
+                 (ValueError, r"^a/r1: boundary positions must be a list of integers$"),
+                 id="float-and-repeat"),
+    pytest.param({"tokens": ["a", "b"], "references": {"r1": [1, 1], "r2": [0]}},
+                 (ValueError, r"^a/r1: boundary positions must be strictly increasing$"),
+                 id="repeated-position"),
+    pytest.param({"tokens": ["a", "b"], "references": {"r1": [5, -1], "r2": [0]}},
+                 (ValueError, r"^a/r1: boundary positions must be strictly increasing$"),
+                 id="disorder-and-range"),
+    pytest.param({"tokens": ["a", "b"], "references": {"r1": [0, 2, 3], "r2": [0]}},
+                 (ValueError, r"^a/r1: boundary position 2 outside 0\.\.1$"),
+                 id="first-position-past-the-end"),
+    pytest.param({"tokens": ["a", "b"], "references": {"r1": [-1, 1], "r2": [0]}},
+                 (ValueError, r"^a/r1: boundary position -1 outside 0\.\.1$"),
+                 id="negative-position"),
+    pytest.param({"tokens": ["a", "b"], "references": {"r1": [-2, 5], "r2": [0]}},
+                 (ValueError, r"^a/r1: boundary position -2 outside 0\.\.1$"),
+                 id="both-ends-outside"),
+    # references are read before systems, each section in key order
+    pytest.param({"tokens": ["a", "b"], "references": {"r2": [2], "r1": [0]},
+                  "systems": {"A": [-1]}},
+                 (ValueError, r"^a/r2: boundary position 2 outside 0\.\.1$"),
+                 id="reference-before-system"),
+    pytest.param({"tokens": ["a", "b"], "references": {"r1": [0], "r2": [1]},
+                  "systems": {"S2": [1, 0], "S1": [0.0]}},
+                 (ValueError, r"^a/S1: boundary positions must be a list of integers$"),
+                 id="systems-in-key-order"),
 ])
 def test_load_structured_rejects_malformed_payloads(tmp_path, payload, error):
     write_files(tmp_path, {"a.json": json.dumps(payload)})

@@ -12,7 +12,8 @@ from wisebe import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
                     wisebe_score)
 from wisebe.baselines import lenient_prf
 from wisebe.model import _DELETE, _TABLE, INTERNAL_MARKS, SU_DELIMITERS, _scan, align
-from oracles import scan_by_characters, scan_by_regex, transcript_error_by_tokens
+from oracles import (positions_by_three_walks, scan_by_characters, scan_by_regex,
+                     transcript_error_by_tokens)
 from strategies import bit_lists, segmented_texts, tokens, upper_alike
 
 # Characters where the unit-length scanner could part ways with the
@@ -307,6 +308,51 @@ def test_from_positions_round_trips():
         BoundaryVector.from_positions(6, [6])
     with pytest.raises(ValueError):
         BoundaryVector.from_positions(6, [-1])
+
+
+@pytest.mark.parametrize("positions, message", [
+    ([True, 2], "boundary positions must be a list of integers"),
+    ([2, 0, 2], "boundary positions must be strictly increasing"),
+    ([1, 1], "boundary positions must be strictly increasing"),
+])
+def test_from_positions_rejects_what_the_loader_rejected(positions, message):
+    """Bools, repeats and disorder fail the public constructor too, with
+    the message the `.json` loader gave before its prefix."""
+    with pytest.raises(ValueError) as raised:
+        BoundaryVector.from_positions(3, positions)
+    assert str(raised.value) == message
+
+
+def test_from_positions_takes_any_iterable():
+    expected = BoundaryVector.from_positions(6, [1, 4], "d", CANDIDATE, "sys")
+    for positions in ((1, 4), iter([1, 4]), (p for p in (1, 4)), range(1, 5, 3)):
+        assert BoundaryVector.from_positions(6, positions, "d", CANDIDATE, "sys") == expected
+    assert BoundaryVector.from_positions(2, ()).bits == (0, 0)
+
+
+POSITION_LISTS = st.one_of(
+    st.lists(st.integers(-3, 12), unique=True).map(sorted),
+    st.lists(st.integers(-3, 12)),
+    st.lists(st.one_of(st.integers(-3, 12), st.booleans(), st.floats(), st.none(),
+                       st.text(max_size=2))),
+)
+
+
+@given(st.integers(1, 10), POSITION_LISTS)
+@example(3, [True, 2])
+@example(3, [1, 1.0])
+@example(3, [1, 1, 0.5])
+@example(3, [5, 0])
+@example(3, [-1, 5])
+@example(3, [0, 3, 4])
+def test_from_positions_matches_the_three_walk_loader_rule(n, raw):
+    """The same positions, or the same ValueError text, as the loader's
+    old type, order and range walks on every list of JSON values."""
+    try:
+        outcome = BoundaryVector.from_positions(n, raw).positions
+    except ValueError as exc:
+        outcome = str(exc)
+    assert outcome == positions_by_three_walks(raw, n)
 
 
 def test_reference_set_needs_two_references():

@@ -118,3 +118,16 @@ def test_replace_and_make_keep_valid_records():
     assert transcript._replace(doc_id="e") == Transcript("e", ("a", "b", "c"))
     doc = Document(transcript, refs, (("S", vector),))
     assert Document._make(doc) == doc and doc._replace(candidates=()) == (transcript, refs, ())
+
+
+def test_document_keeps_its_candidates_as_a_tuple():
+    """Candidates given as a list or a generator are stored as a tuple, so
+    the document hashes and equals the one built from a tuple."""
+    cand = BoundaryVector("d", (1, 0, 1), CANDIDATE, "S")
+    doc = Document(_DOC.transcript, _DOC.references, (("S", cand),))
+    for twin in (Document(_DOC.transcript, _DOC.references, [("S", cand)]),
+                 Document(_DOC.transcript, _DOC.references, (pair for pair in [("S", cand)])),
+                 Document._make([_DOC.transcript, _DOC.references, [("S", cand)]]),
+                 _DOC._replace(candidates=[("S", cand)])):
+        assert type(twin.candidates) is tuple
+        assert twin == doc and hash(twin) == hash(doc)
