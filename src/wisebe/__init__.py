@@ -6,10 +6,9 @@ references agree among themselves.  Classic exact-position metrics and
 agreement measures live alongside it for comparison.
 """
 
-from .aggregation import (GeneralReference, WindowReference,
-                          build_general_reference, build_window_reference)
+from .aggregation import build_general_reference, build_window_reference
 from .agreement import fleiss_kappa, pearson
-from .baselines import PRF, strict_prf
+from .baselines import strict_prf
 from .corpus import Document, load_corpus, load_document
 from .errors import (AlignmentError, BadThreshold, ConstantSequence,
                      DegenerateAgreement, DuplicateLabel, EmptyTranscript,
@@ -25,14 +24,12 @@ from .scoring import (combine_score, harmonic_f1, windowed_precision,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentError", "BadThreshold", "BoundaryVector", "CANDIDATE",
-    "ConstantSequence", "DegenerateAgreement", "Document", "DuplicateLabel",
-    "EmptyTranscript", "EvalConfig", "GeneralReference", "MissingReferences",
-    "NoBoundaries", "PRF", "REFERENCE", "ReferenceSet", "Transcript",
-    "UnknownFormat", "WindowReference", "WisebeError",
-    "build_general_reference", "build_window_reference", "combine_score",
-    "evaluate_agreement", "evaluate_corpus", "evaluate_document",
-    "fleiss_kappa", "harmonic_f1", "load_corpus", "load_document",
+    "AlignmentError", "BadThreshold", "BoundaryVector", "CANDIDATE", "ConstantSequence",
+    "DegenerateAgreement", "Document", "DuplicateLabel", "EmptyTranscript",
+    "EvalConfig", "MissingReferences", "NoBoundaries", "REFERENCE", "ReferenceSet",
+    "Transcript", "UnknownFormat", "WisebeError", "build_general_reference",
+    "build_window_reference", "combine_score", "evaluate_agreement", "evaluate_corpus",
+    "evaluate_document", "fleiss_kappa", "harmonic_f1", "load_corpus", "load_document",
     "parse_segmented_text", "pearson", "render_agreement", "render_report",
     "strict_prf", "to_segmented_text", "windowed_precision", "windowed_recall",
     "wisebe_score",

@@ -50,15 +50,21 @@ class CorpusLayout(NamedTuple):
 
 class Document(NamedTuple("Document", [("transcript", Transcript), ("references", ReferenceSet),
                                        ("candidates", tuple[tuple[str, BoundaryVector], ...])])):
-    """One document, scored in the order it holds its segmentations.
-    Building one checks that its references cover its transcript."""
+    """One document, scored in the order it holds its segmentations.  Building
+    one checks that its references and each candidate, a `(name, BoundaryVector)`
+    pair of candidate origin, cover its transcript: see `check_aligned`."""
 
     __slots__ = ()
 
     def __new__(cls, transcript: Transcript, references: ReferenceSet, candidates):
-        check_aligned(references, transcript, "references of document {!r}", transcript.doc_id,
-                      strict_doc_id=True)
-        return tuple.__new__(cls, (transcript, references, tuple(candidates)))
+        doc_id, candidates = transcript.doc_id, tuple(candidates)
+        check_aligned(references, transcript, "references of document {!r}", doc_id)
+        for name, cand in candidates:
+            if not isinstance(cand, BoundaryVector) or cand.origin != CANDIDATE:
+                raise ValueError(
+                    f"system {name!r} of document {doc_id!r} is not a candidate segmentation")
+            check_aligned(cand, transcript, "system {!r} of document {!r}", name, doc_id)
+        return tuple.__new__(cls, (transcript, references, candidates))
 
     _make = classmethod(lambda cls, fields: cls(*fields))    # as Transcript._make
 

@@ -143,19 +143,18 @@ class BoundaryVector(NamedTuple("BoundaryVector", [("doc_id", str), ("origin", s
         return cls(doc_id, flags, origin, label)
 
 
-def check_aligned(left, right, what: str, *args, strict_doc_id: bool = False) -> None:
+def check_aligned(left, right, what: str, *args) -> None:
     """Raise AlignmentError unless `left` and `right` (anything with `n`
-    and `doc_id`) cover the same positions of the same document.
+    and `doc_id`) cover the same positions of the same document: the same
+    `n`, checked first, then the same `doc_id`, an empty one included.
 
     The message is led by `what.format(*args)`, built only on failure, so
     `what` is always a template: a label or id holding braces goes in `args`.
-    Lengths are checked before document ids.  An empty doc id matches
-    any other unless `strict_doc_id` is set.
     """
     if left.n != right.n:
         raise AlignmentError(f"{what.format(*args)}: {left.n} vs {right.n} positions",
                              position=min(left.n, right.n))
-    if left.doc_id != right.doc_id and (strict_doc_id or (left.doc_id and right.doc_id)):
+    if left.doc_id != right.doc_id:
         raise AlignmentError(
             f"{what.format(*args)}: document {left.doc_id!r} vs {right.doc_id!r}")
 
@@ -176,8 +175,7 @@ class ReferenceSet(NamedTuple("ReferenceSet", [("doc_id", str),
         for ref in refs:
             if ref.origin != REFERENCE:
                 raise ValueError(f"{ref.label!r} is not a reference segmentation")
-            check_aligned(ref, self, "reference {!r} of document {!r}", ref.label, doc_id,
-                          strict_doc_id=True)
+            check_aligned(ref, self, "reference {!r} of document {!r}", ref.label, doc_id)
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))    # as Transcript._make

@@ -26,10 +26,15 @@ class EvalConfig(NamedTuple("EvalConfig", [("window_limit", int), ("baselines", 
 
     def __new__(cls, window_limit: int = DEFAULT_WINDOW_LIMIT, baselines: bool = False,
                 consensus_threshold: int | None = None):
+        if type(window_limit) is not int:    # exact, so bools fail, as in from_positions
+            raise ValueError(f"window limit must be an integer, got {window_limit!r}")
         if window_limit < 0:
             raise ValueError(f"window limit must be >= 0, got {window_limit}")
-        if consensus_threshold is not None and consensus_threshold < 1:
-            raise BadThreshold(f"threshold must be >= 1, got {consensus_threshold}")
+        if consensus_threshold is not None:
+            if type(consensus_threshold) is not int:
+                raise BadThreshold(f"threshold must be an integer, got {consensus_threshold!r}")
+            if consensus_threshold < 1:
+                raise BadThreshold(f"threshold must be >= 1, got {consensus_threshold}")
         return tuple.__new__(cls, (window_limit, baselines, consensus_threshold))
 
     _make = classmethod(lambda cls, fields: cls(*fields))    # as Transcript._make

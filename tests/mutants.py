@@ -135,17 +135,32 @@ MUTANTS = (
            ("tests/test_corpus.py::test_a_later_file_sharing_the_transcript_is_not_aligned",)),
     Mutant("references never checked against the transcript", "src/wisebe/corpus.py",
            '        check_aligned(references, transcript, "references of document {!r}", '
-           "transcript.doc_id,\n"
-           "                      strict_doc_id=True)\n", "",
+           "doc_id)\n", "",
            ("tests/test_report.py::test_references_must_cover_the_transcript",
             "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
+    Mutant("Document accepts a reference-origin candidate", "src/wisebe/corpus.py",
+           "if not isinstance(cand, BoundaryVector) or cand.origin != CANDIDATE:",
+           "if not isinstance(cand, BoundaryVector):",
+           ("tests/test_records.py::test_document_checks_each_candidate",
+            "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
+    Mutant("Document skips the candidate alignment check", "src/wisebe/corpus.py",
+           '            check_aligned(cand, transcript, "system {!r} of document {!r}", '
+           "name, doc_id)\n", "",
+           ("tests/test_records.py::test_document_checks_each_candidate",
+            "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
+    Mutant("an empty doc id matches any other", "src/wisebe/model.py",
+           "if left.doc_id != right.doc_id:",
+           "if left.doc_id != right.doc_id and left.doc_id and right.doc_id:",
+           ("tests/test_model.py::test_alignment_check_compares_lengths_then_doc_ids",
+            "tests/test_model.py::test_to_segmented_text_requires_alignment_and_real_delimiter",
+            "tests/test_records.py::test_document_checks_each_candidate")),
     Mutant("reference message arguments swapped", "src/wisebe/model.py",
-           '"reference {!r} of document {!r}", ref.label, doc_id,',
-           '"reference {!r} of document {!r}", doc_id, ref.label,',
+           '"reference {!r} of document {!r}", ref.label, doc_id)',
+           '"reference {!r} of document {!r}", doc_id, ref.label)',
            ("tests/test_corpus.py::test_failure_messages_keep_braces_in_names",)),
     Mutant("reference message formatted before the check", "src/wisebe/model.py",
-           '"reference {!r} of document {!r}", ref.label, doc_id,',
-           'f"reference {ref.label!r} of document {doc_id!r}",',
+           '"reference {!r} of document {!r}", ref.label, doc_id)',
+           'f"reference {ref.label!r} of document {doc_id!r}")',
            ("tests/test_corpus.py::test_failure_messages_keep_braces_in_names",)),
     Mutant("a token that is not a string raises a bare TypeError", "src/wisebe/corpus.py",
            "    try:\n        transcript = Transcript(doc_id, tokens)\n"
@@ -229,7 +244,8 @@ MUTANTS = (
             "tests/test_model.py::test_from_positions_matches_the_three_walk_loader_rule",
             "tests/test_corpus.py::test_load_structured_rejects_malformed_payloads")),
     Mutant("Document keeps its candidates as given", "src/wisebe/corpus.py",
-           "(transcript, references, tuple(candidates))", "(transcript, references, candidates)",
+           "doc_id, candidates = transcript.doc_id, tuple(candidates)",
+           "doc_id = transcript.doc_id",
            ("tests/test_records.py::test_document_keeps_its_candidates_as_a_tuple",)),
     Mutant("corpus read before the options are checked", "src/wisebe/cli.py",
            'if args.command == "agreement":',
@@ -244,6 +260,15 @@ MUTANTS = (
            "if window_limit < 0:", "if window_limit < -1:",
            ("tests/test_cli.py::test_option_out_of_range_exits_two",
             "tests/test_report.py::test_out_of_range_options_fail_before_any_document")),
+    Mutant("EvalConfig accepts a float window limit", "src/wisebe/report.py",
+           "if type(window_limit) is not int:", "if type(window_limit) not in (int, float):",
+           ("tests/test_report.py::test_out_of_range_options_fail_before_any_document",
+            "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
+    Mutant("EvalConfig accepts a float threshold", "src/wisebe/report.py",
+           "if type(consensus_threshold) is not int:",
+           "if type(consensus_threshold) not in (int, float):",
+           ("tests/test_report.py::test_out_of_range_options_fail_before_any_document",
+            "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
     Mutant("threshold 0 accepted", "src/wisebe/report.py",
            "consensus_threshold < 1:", "consensus_threshold < 0:",
            ("tests/test_cli.py::test_option_out_of_range_exits_two",

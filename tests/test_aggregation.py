@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from wisebe import (BadThreshold, DegenerateAgreement, GeneralReference, NoBoundaries,
+from wisebe import (BadThreshold, DegenerateAgreement, NoBoundaries,
                     build_general_reference, build_window_reference, fleiss_kappa)
-from wisebe.aggregation import consensus_reference
+from wisebe.aggregation import GeneralReference, consensus_reference
 from wisebe.baselines import lenient_prf
 from wisebe.model import mask_flags
 from oracles import agreement_ratio_by_counting, fleiss_kappa_by_histogram, windows_by_regex

@@ -374,15 +374,19 @@ def test_reference_set_rejects_candidates_and_foreign_docs():
         ReferenceSet("d", (ref, BoundaryVector("other", (1, 0))))
 
 
-def test_alignment_check_matches_empty_doc_ids_unless_strict():
+def test_alignment_check_compares_lengths_then_doc_ids():
     refs = ReferenceSet("d", (BoundaryVector("d", (1, 0)), BoundaryVector("d", (0, 1))))
     windows = build_window_reference(build_general_reference(refs))
     anonymous = BoundaryVector("", (1, 0), CANDIDATE)
-    # scoring lets a candidate without a doc id stand for any document
-    strict_prf(anonymous, refs.references[0])
-    lenient_prf(anonymous, build_general_reference(refs))
-    windowed_precision(anonymous, windows)
-    wisebe_score(anonymous, refs)
+    # an empty doc id is a doc id like any other: it matches only itself
+    for score, against, what in [
+            (strict_prf, refs.references[0], "candidate vs reference ''"),
+            (lenient_prf, build_general_reference(refs), "candidate vs references"),
+            (windowed_precision, windows, "candidate vs window reference"),
+            (wisebe_score, refs, "candidate vs references")]:
+        with pytest.raises(AlignmentError, match=f"^{what}: document '' vs 'd'$"):
+            score(anonymous, against)
+    assert strict_prf(anonymous, BoundaryVector("", (1, 1))).tp == 1
     # a reference set takes only references of its own document
     with pytest.raises(AlignmentError):
         ReferenceSet("d", (refs.references[0], BoundaryVector("", (1, 0))))
@@ -425,7 +429,9 @@ def test_to_segmented_text_requires_alignment_and_real_delimiter():
         to_segmented_text(transcript, BoundaryVector("d", (1,)))
     with pytest.raises(AlignmentError):
         to_segmented_text(transcript, BoundaryVector("e", (1, 0)))
-    assert to_segmented_text(transcript, BoundaryVector("", (1, 0))) == "a. b"
+    with pytest.raises(AlignmentError, match="^vector vs transcript: document '' vs 'd'$"):
+        to_segmented_text(transcript, BoundaryVector("", (1, 0)))
+    assert to_segmented_text(transcript, BoundaryVector("d", (1, 0))) == "a. b"
 
 
 @given(st.data())

@@ -20,7 +20,7 @@ from mutants import MUTANTS
 from wisebe import errors
 from wisebe.cli import build_parser
 
-MAX_EXPORTS = 39
+MAX_EXPORTS = 36
 
 
 def _names_imported_from_wisebe(path):

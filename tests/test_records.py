@@ -6,12 +6,13 @@ import pickle
 
 import pytest
 
-from wisebe import (CANDIDATE, PRF, AlignmentError, BadThreshold, BoundaryVector,
+from wisebe import (CANDIDATE, AlignmentError, BadThreshold, BoundaryVector,
                     Document, EmptyTranscript, EvalConfig, MissingReferences,
                     ReferenceSet, Transcript,
                     build_general_reference, build_window_reference,
                     evaluate_agreement, evaluate_corpus, load_corpus,
                     load_document)
+from wisebe.baselines import PRF
 from wisebe.report import COLUMNS, DocumentError
 from wisebe.scoring import WisebeScore
 
@@ -85,6 +86,17 @@ def test_record_reprs_are_pinned():
 
 _VECTOR = BoundaryVector("d", (0, 1, 1))
 _DOC = Document(Transcript("d", ("a", "b", "c")), ReferenceSet("d", (_VECTOR, _VECTOR)), ())
+# Candidates a Document refuses, each with the message it refuses it with.
+_BAD_CANDIDATES = [
+    (("T", 5), ValueError, "system 'T' of document 'd' is not a candidate segmentation"),
+    (("R", _VECTOR), ValueError, "system 'R' of document 'd' is not a candidate segmentation"),
+    (("S", BoundaryVector("d", (1,), CANDIDATE)), AlignmentError,
+     "system 'S' of document 'd': 1 vs 3 positions"),
+    (("S", BoundaryVector("e", (0, 0, 1), CANDIDATE)), AlignmentError,
+     "system 'S' of document 'd': document 'e' vs 'd'"),
+    (("S", BoundaryVector("", (0, 0, 1), CANDIDATE)), AlignmentError,
+     "system 'S' of document 'd': document '' vs 'd'"),
+]
 
 
 @pytest.mark.parametrize("error, build", [
@@ -100,6 +112,26 @@ _DOC = Document(Transcript("d", ("a", "b", "c")), ReferenceSet("d", (_VECTOR, _V
     (BadThreshold, lambda: EvalConfig._make((2, False, 0))),
     (AlignmentError, lambda: _DOC._replace(transcript=Transcript("x", ("a", "b", "c")))),
     (AlignmentError, lambda: Document._make((Transcript("d", ("a",)), _DOC.references, ()))),
+    pytest.param(ValueError, lambda: _DOC._replace(candidates=[("T", 5)]),
+                 id="document-replace-not-a-vector"),
+    pytest.param(ValueError, lambda: Document._make((*_DOC[:2], [("R", _VECTOR)])),
+                 id="document-make-reference-origin"),
+    pytest.param(AlignmentError, lambda: _DOC._replace(
+        candidates=[("S", BoundaryVector("e", (0, 0, 1), CANDIDATE))]),
+                 id="document-replace-other-doc-id"),
+    pytest.param(AlignmentError, lambda: Document._make(
+        (*_DOC[:2], [("S", BoundaryVector("d", (1,), CANDIDATE))])),
+                 id="document-make-other-length"),
+    pytest.param(ValueError, lambda: EvalConfig()._replace(window_limit=2.5),
+                 id="evalconfig-replace-float-limit"),
+    pytest.param(ValueError, lambda: EvalConfig._make((True, False, None)),
+                 id="evalconfig-make-bool-limit"),
+    pytest.param(BadThreshold, lambda: EvalConfig()._replace(consensus_threshold=1.5),
+                 id="evalconfig-replace-float-threshold"),
+    pytest.param(ValueError, lambda: pickle.loads(pickle.dumps(
+        tuple.__new__(EvalConfig, (2.5, False, None)))), id="evalconfig-pickle-float-limit"),
+    pytest.param(BadThreshold, lambda: pickle.loads(pickle.dumps(
+        tuple.__new__(EvalConfig, (2, False, True)))), id="evalconfig-pickle-bool-threshold"),
 ])
 def test_replace_and_make_run_the_constructor_checks(error, build):
     with pytest.raises(error):
@@ -116,8 +148,27 @@ def test_replace_and_make_keep_valid_records():
     assert ReferenceSet._make(refs) == refs and refs._replace(doc_id="d") == refs
     transcript = Transcript("d", ("a", "b", "c"))
     assert transcript._replace(doc_id="e") == Transcript("e", ("a", "b", "c"))
-    doc = Document(transcript, refs, (("S", vector),))
+    cand = vector._replace(origin=CANDIDATE)
+    doc = Document(transcript, refs, (("S", cand),))
     assert Document._make(doc) == doc and doc._replace(candidates=()) == (transcript, refs, ())
+    assert doc._replace(candidates=[("T", cand)]).candidates == (("T", cand),)
+
+
+@pytest.mark.parametrize("pair, error, message", _BAD_CANDIDATES,
+                         ids=["not-a-vector", "reference-origin", "other-length",
+                              "other-doc-id", "empty-doc-id"])
+def test_document_checks_each_candidate(pair, error, message):
+    """A candidate must be a vector of candidate origin over the same
+    positions of the same document; each way in runs that check."""
+    transcript, refs = _DOC[:2]
+    builds = [lambda: Document(transcript, refs, [pair]),
+              lambda: Document._make((transcript, refs, [pair])),
+              lambda: _DOC._replace(candidates=(pair,)),
+              lambda: pickle.loads(pickle.dumps(tuple.__new__(Document, (*_DOC[:2], (pair,)))))]
+    for build in builds:
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_document_keeps_its_candidates_as_a_tuple():

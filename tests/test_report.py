@@ -140,7 +140,13 @@ def test_document_failures_are_collected_not_fatal(tmp_path):
 @pytest.mark.parametrize("options, error, message", [
     ({"window_limit": -1}, ValueError, "window limit must be >= 0, got -1"),
     ({"consensus_threshold": 0}, BadThreshold, "threshold must be >= 1, got 0"),
-], ids=["window-limit", "threshold"])
+    ({"window_limit": 2.5}, ValueError, "window limit must be an integer, got 2.5"),
+    ({"window_limit": True}, ValueError, "window limit must be an integer, got True"),
+    ({"window_limit": "2"}, ValueError, "window limit must be an integer, got '2'"),
+    ({"consensus_threshold": 1.5}, BadThreshold, "threshold must be an integer, got 1.5"),
+    ({"consensus_threshold": True}, BadThreshold, "threshold must be an integer, got True"),
+], ids=["window-limit", "threshold", "window-limit-float", "window-limit-bool",
+        "window-limit-str", "threshold-float", "threshold-bool"])
 def test_out_of_range_options_fail_before_any_document(demo_corpus, monkeypatch,
                                                        options, error, message):
     # No document can accept them, so a library run fails once, with the

@@ -5,9 +5,10 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from wisebe import (CANDIDATE, AlignmentError, BoundaryVector, NoBoundaries,
-                    WindowReference, build_general_reference,
-                    build_window_reference, combine_score, harmonic_f1,
-                    windowed_precision, windowed_recall, wisebe_score)
+                    build_general_reference, build_window_reference,
+                    combine_score, harmonic_f1, windowed_precision,
+                    windowed_recall, wisebe_score)
+from wisebe.aggregation import WindowReference
 from wisebe.scoring import arithmetic_mean
 from oracles import windowed_prf_by_membership
 from strategies import reference_set, scoring_instances, vector
