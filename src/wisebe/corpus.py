@@ -35,12 +35,28 @@ READ_CHUNK = 1 << 16    # bytes per os.read call in _read_text
 
 
 class DocumentFiles(NamedTuple):
-    """Paths making up one document, before anything is read."""
+    """The files making up one document, before anything is read: each
+    labelled file and the `.json` document are the path strings the
+    listing printed, which are opened and quoted as they are.  A `Path`
+    works there too.  `ref_paths`, `sys_paths` and `structured_path`
+    view them as `Path`s, built on each access."""
 
     doc_id: str
-    ref_paths: tuple[tuple[str, Path], ...]
-    sys_paths: tuple[tuple[str, Path], ...]
-    structured_path: Path | None = None
+    refs: tuple[tuple[str, str], ...]
+    systems: tuple[tuple[str, str], ...]
+    structured: str | None = None
+
+    @property
+    def ref_paths(self) -> tuple[tuple[str, Path], ...]:
+        return tuple((label, Path(path)) for label, path in self.refs)
+
+    @property
+    def sys_paths(self) -> tuple[tuple[str, Path], ...]:
+        return tuple((label, Path(path)) for label, path in self.systems)
+
+    @property
+    def structured_path(self) -> Path | None:
+        return None if self.structured is None else Path(self.structured)
 
 
 class CorpusLayout(NamedTuple):
@@ -51,15 +67,23 @@ class CorpusLayout(NamedTuple):
 class Document(NamedTuple("Document", [("transcript", Transcript), ("references", ReferenceSet),
                                        ("candidates", tuple[tuple[str, BoundaryVector], ...])])):
     """One document, scored in the order it holds its segmentations.  Building
-    one checks that its references and each candidate, a `(name, BoundaryVector)`
-    pair of candidate origin, cover its transcript: see `check_aligned`."""
+    one checks that each candidate is a `(name, BoundaryVector)` pair, named
+    by a non-empty `str`, of candidate origin, and that its references and
+    each candidate cover its transcript: see `check_aligned`."""
 
     __slots__ = ()
 
     def __new__(cls, transcript: Transcript, references: ReferenceSet, candidates):
         doc_id, candidates = transcript.doc_id, tuple(candidates)
         check_aligned(references, transcript, "references of document {!r}", doc_id)
-        for name, cand in candidates:
+        for j, pair in enumerate(candidates):
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise ValueError(
+                    f"candidate {j} of document {doc_id!r} is not a (name, vector) pair")
+            name, cand = pair
+            if not isinstance(name, str) or not name:
+                raise ValueError(
+                    f"system name {name!r} of document {doc_id!r} is not a non-empty string")
             if not isinstance(cand, BoundaryVector) or cand.origin != CANDIDATE:
                 raise ValueError(
                     f"system {name!r} of document {doc_id!r} is not a candidate segmentation")
@@ -79,39 +103,43 @@ def _system_label(stem: str) -> str:
 
 
 def named_files(doc_id: str, ref_paths, sys_paths) -> CorpusLayout:
-    """The one-document layout of the given file Paths: a reference is
-    labelled by its stem, a system by its stem minus any `sys_`."""
-    refs = tuple((path.stem, path) for path in ref_paths)
-    systems = tuple((_system_label(path.stem) or path.stem, path) for path in sys_paths)
+    """The one-document layout of the given file Paths, stored as strings:
+    a reference is labelled by its stem, a system by its stem minus any
+    `sys_`."""
+    refs = tuple((path.stem, str(path)) for path in ref_paths)
+    systems = tuple((_system_label(path.stem) or path.stem, str(path)) for path in sys_paths)
     return CorpusLayout((DocumentFiles(doc_id, refs, systems),))
 
 
-def _listing(directory: Path):
+def _listing(directory: str):
     """Yield (name, path, is_dir, is_file) for every entry of `directory`,
-    sorted by name, in one scandir pass.
+    a path as `str(Path)` prints it, sorted by name, in one scandir pass.
 
-    Paths are `directory / name` so they print as pathlib prints them
-    (`a/x`, not `./a/x`).  Types come from the listing; a symlink it
-    cannot follow is asked again through pathlib, which counts a loop as
-    neither and words any other error with the pathlib path.
+    Each path is a `str` that prints as pathlib prints it: the listing's
+    own `entry.path`, joined in C, or the bare name when `directory` is
+    `"."`, as pathlib prints `a`, not `./a`.  Types come from the listing;
+    only an entry it cannot follow is asked again through pathlib, which
+    counts a loop as neither and words any other error with that path.
     """
     with os.scandir(directory) as scan:
         entries = sorted(scan, key=attrgetter("name"))
+    here = directory == "."
     for entry in entries:
         name = entry.name
-        path = directory / name
+        path = name if here else entry.path
         try:
             is_dir, is_file = entry.is_dir(), entry.is_file()
         except OSError:
-            is_dir, is_file = path.is_dir(), path.is_file()
+            fallback = Path(path)
+            is_dir, is_file = fallback.is_dir(), fallback.is_file()
         yield name, path, is_dir, is_file
 
 
-def _scan_directory(doc_id: str, directory: Path, warnings: list[str]) -> DocumentFiles:
+def _scan_directory(doc_id: str, directory: str, warnings: list[str]) -> DocumentFiles:
     """The files of document `doc_id`, classified by name: `stem` is a text
     file's stem as Path.stem reads it, and "" for any other entry."""
-    refs: list[tuple[str, Path]] = []
-    systems: list[tuple[str, Path]] = []
+    refs: list[tuple[str, str]] = []
+    systems: list[tuple[str, str]] = []
     for name, path, _, is_file in _listing(directory):
         stem = name[:-len(TEXT_SUFFIX)] if is_file and name.endswith(TEXT_SUFFIX) else ""
         if stem.startswith(REF_PREFIX) and len(stem) > len(REF_PREFIX):
@@ -135,12 +163,11 @@ def load_corpus(root: str | Path) -> CorpusLayout:
         raise FileNotFoundError(f"corpus root {root} is not a directory")
     documents: list[DocumentFiles] = []
     warnings: list[str] = []
-    for name, path, is_dir, is_file in _listing(root):
+    for name, path, is_dir, is_file in _listing(str(root)):
         if is_dir:
             documents.append(_scan_directory(name, path, warnings))
         elif is_file and name.endswith(STRUCTURED_SUFFIX) and name != STRUCTURED_SUFFIX:
-            documents.append(DocumentFiles(name[:-len(STRUCTURED_SUFFIX)], (), (),
-                                           structured_path=path))
+            documents.append(DocumentFiles(name[:-len(STRUCTURED_SUFFIX)], (), (), path))
         else:
             warnings.append(f"{path}: not a document directory or structured document, ignored")
     _unique([(files.doc_id, files) for files in documents], "{}: document id", root)
@@ -160,7 +187,7 @@ def _unique(pairs, what: str, *args) -> dict:
     return data
 
 
-def _load_structured(path: Path, doc_id: str) -> Document:
+def _load_structured(path: str | Path, doc_id: str) -> Document:
     try:
         data = json.loads(_read_text(path),
                           object_pairs_hook=lambda pairs: _unique(pairs, "{}: key", path))
@@ -206,7 +233,7 @@ def _load_structured(path: Path, doc_id: str) -> Document:
     return Document(transcript, ReferenceSet(doc_id, tuple(vectors[REFERENCE])), cands)
 
 
-def _read_text(path: Path) -> str:
+def _read_text(path: str | Path) -> str:
     """The text of a transcript or `.json` document, minus a leading UTF-8 BOM.
 
     Bare `os.read` calls until end of file, with no newline translation:
@@ -239,15 +266,15 @@ def load_document(files: DocumentFiles) -> Document:
     its space-joined text, built once for the document, so a file that
     holds its tokens shares that `Transcript`.  Only a file that does
     not is passed to `align`, which words its mismatch."""
-    if files.structured_path is not None:
-        return _load_structured(files.structured_path, files.doc_id)
-    for kind, entries in (("reference", files.ref_paths), ("system", files.sys_paths)):
+    if files.structured is not None:
+        return _load_structured(files.structured, files.doc_id)
+    for kind, entries in (("reference", files.refs), ("system", files.systems)):
         _unique(entries, "document {!r}: {} label", files.doc_id, kind)
     shared: tuple[Transcript, str] | None = None
     first_label = ""
     refs: list[BoundaryVector] = []
     cands: list[tuple[str, BoundaryVector]] = []
-    for origin, entries in ((REFERENCE, files.ref_paths), (CANDIDATE, files.sys_paths)):
+    for origin, entries in ((REFERENCE, files.refs), (CANDIDATE, files.systems)):
         # In label order, as a structured document is read; labels are unique.
         for label, path in sorted(entries):
             transcript, vector = parse_segmented_text(

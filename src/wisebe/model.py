@@ -42,11 +42,11 @@ class Transcript(NamedTuple("Transcript", [("doc_id", str), ("tokens", tuple[str
         tokens = tuple(tokens)
         if not tokens:
             raise EmptyTranscript(f"transcript {doc_id!r} has no tokens")
-        # A few C-level substring tests accept clean tokens; the loop only
-        # finds the first offender for the message.  The join raises
-        # TypeError on any member that is not a str.
+        # A truth test per token and four C-level substring tests accept
+        # clean tokens; the loop only finds the first offender for the
+        # message.  The join raises TypeError on any member that is not a str.
         joined = "\x00".join(tokens)
-        if "" in tokens or any(mark in joined for mark in SU_DELIMITERS):
+        if not all(tokens) or any(map(joined.__contains__, SU_DELIMITERS)):
             for j, token in enumerate(tokens):
                 if not token:
                     raise ValueError(f"transcript {doc_id!r}: empty token at position {j}")
@@ -161,7 +161,8 @@ def check_aligned(left, right, what: str, *args) -> None:
 
 class ReferenceSet(NamedTuple("ReferenceSet", [("doc_id", str),
                                                ("references", tuple[BoundaryVector, ...])])):
-    """Two or more aligned reference segmentations of one document."""
+    """Two or more aligned reference segmentations of one document, each a
+    `BoundaryVector` of reference origin."""
 
     __slots__ = ()
 
@@ -172,7 +173,9 @@ class ReferenceSet(NamedTuple("ReferenceSet", [("doc_id", str),
             raise MissingReferences(
                 f"document {doc_id!r} has {len(refs)} reference(s), need at least 2"
             )
-        for ref in refs:
+        for j, ref in enumerate(refs):
+            if not isinstance(ref, BoundaryVector):
+                raise ValueError(f"reference {j} of document {doc_id!r} is not a BoundaryVector")
             if ref.origin != REFERENCE:
                 raise ValueError(f"{ref.label!r} is not a reference segmentation")
             check_aligned(ref, self, "reference {!r} of document {!r}", ref.label, doc_id)

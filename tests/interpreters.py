@@ -1,10 +1,12 @@
-"""The goldens and the benchmark self-test under each given CPython.
+"""The goldens, the benchmark self-test and the path-printing parity
+check under each given CPython.
 
     python3 tests/interpreters.py python3.11 python3.12 python3.13
 
 pytest and Hypothesis need not be installed for an interpreter, so this
-runs only `benchmarks/goldens.py` and `benchmarks/selftest.py` under
-each one, which need the standard library alone.  An interpreter is a
+runs only `benchmarks/goldens.py`, `benchmarks/selftest.py` and
+`tests/pathparity.py` under each one, which need the standard library
+alone.  An interpreter is a
 command name or a path.  A pyenv shim that does not run on its own, as
 for a version other than the selected one, is run with PYENV_VERSION
 set to the newest installed version of its `pythonX.Y` name.  One line
@@ -22,7 +24,8 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-CHECKS = (("goldens", "benchmarks/goldens.py"), ("selftest", "benchmarks/selftest.py"))
+CHECKS = (("goldens", "benchmarks/goldens.py"), ("selftest", "benchmarks/selftest.py"),
+          ("pathparity", "tests/pathparity.py"))
 
 
 def _version(python: str, env: dict) -> str | None:

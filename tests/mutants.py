@@ -80,10 +80,20 @@ MUTANTS = (
            "flags[1] |= flags[0]\n    del flags[len(tokens) + 1:], flags[0]",
            ("tests/test_model.py::test_parse_unit_edge_cases",)),
     Mutant("token check skips unit-final marks", "src/wisebe/model.py",
-           'if "" in tokens or any(mark in joined for mark in SU_DELIMITERS):',
-           'if "" in tokens:',
+           "if not all(tokens) or any(map(joined.__contains__, SU_DELIMITERS)):",
+           "if not all(tokens):",
            ("tests/test_model.py::test_transcript_rejects_delimiter_inside_token",
             "tests/test_model.py::test_transcript_validation_matches_the_token_loop")),
+    Mutant("empty-token test skips the first token", "src/wisebe/model.py",
+           "if not all(tokens) or", "if not all(tokens[1:]) or",
+           ("tests/test_model.py::test_transcript_rejects_what_the_substring_check_rejected",
+            "tests/test_model.py::test_transcript_validation_matches_the_token_loop")),
+    Mutant("ReferenceSet reads the origin of a member that is not a vector",
+           "src/wisebe/model.py",
+           "            if not isinstance(ref, BoundaryVector):\n"
+           "                raise ValueError(f\"reference {j} of document {doc_id!r} is not a "
+           "BoundaryVector\")\n", "",
+           ("tests/test_records.py::test_reference_set_rejects_a_member_that_is_not_a_vector",)),
     Mutant("transcript accepts no tokens", "src/wisebe/model.py",
            "        if not tokens:\n"
            "            raise EmptyTranscript(f\"transcript {doc_id!r} has no tokens\")\n", "",
@@ -143,6 +153,25 @@ MUTANTS = (
            "if not isinstance(cand, BoundaryVector):",
            ("tests/test_records.py::test_document_checks_each_candidate",
             "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
+    Mutant("Document unpacks a candidate of any shape", "src/wisebe/corpus.py",
+           "            if not isinstance(pair, tuple) or len(pair) != 2:\n"
+           "                raise ValueError(\n"
+           "                    f\"candidate {j} of document {doc_id!r} is not a (name, vector) "
+           "pair\")\n", "",
+           ("tests/test_records.py::test_document_checks_each_candidate",)),
+    Mutant("Document accepts a system name that is not a str", "src/wisebe/corpus.py",
+           "if not isinstance(name, str) or not name:", "if not name:",
+           ("tests/test_records.py::test_document_checks_each_candidate",)),
+    Mutant("Document accepts an empty system name", "src/wisebe/corpus.py",
+           "if not isinstance(name, str) or not name:", "if not isinstance(name, str):",
+           ("tests/test_records.py::test_document_checks_each_candidate",)),
+    Mutant("listing paths joined through pathlib again", "src/wisebe/corpus.py",
+           "path = name if here else entry.path", "path = str(Path(directory) / name)",
+           ("tests/test_corpus.py::test_loading_builds_paths_for_the_root_alone",)),
+    Mutant("listing paths under the root '.' keep their './'", "src/wisebe/corpus.py",
+           "path = name if here else entry.path", "path = entry.path",
+           ("tests/test_corpus.py::test_load_corpus_matches_the_pathlib_walk",
+            "tests/test_corpus.py::test_read_time_messages_print_paths_as_pathlib_does")),
     Mutant("Document skips the candidate alignment check", "src/wisebe/corpus.py",
            '            check_aligned(cand, transcript, "system {!r} of document {!r}", '
            "name, doc_id)\n", "",

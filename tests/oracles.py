@@ -232,6 +232,14 @@ def transcript_error_by_tokens(doc_id, tokens):
     return None
 
 
+def transcript_rejected_by_substrings(tokens):
+    """Whether `Transcript` looked for an offending token, by the check it
+    made before its truth-test form: `"" in tokens`, then a generator of
+    `in` tests of each unit-final mark on the NUL-joined tokens."""
+    joined = "\x00".join(tokens)
+    return "" in tokens or any(mark in joined for mark in ".?!;")
+
+
 def load_text_document_by_files(files):
     """The `Document` of a text-directory document (a `DocumentFiles`
     with unique labels), as `load_document` built it before a document's

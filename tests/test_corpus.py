@@ -14,6 +14,7 @@ from wisebe import corpus
 from wisebe.corpus import READ_CHUNK, DocumentFiles, _read_text
 from wisebe.model import _scan, parse_segmented_text
 from oracles import corpus_by_iterdir, load_text_document_by_files
+from pathparity import SPELLINGS, mismatches, write_corpus
 from strategies import corpus_trees, upper_alike, write_files, write_tree
 
 
@@ -429,6 +430,48 @@ def test_load_corpus_matches_the_pathlib_walk(tree, spelling):
         mp.chdir(root if spelling == "." else tmp)
         expected = _outcome(lambda: corpus_by_iterdir(arg))
         assert _outcome(lambda: _plain(load_corpus(arg))) == expected
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_read_time_messages_print_paths_as_pathlib_does(tmp_path, spelling):
+    """A malformed `.json` document, a transcript that is not UTF-8 and
+    the other failures of `tests/pathparity.py` are worded with the path
+    the pathlib walk prints, however the root is spelled."""
+    write_corpus(tmp_path)
+    assert mismatches(tmp_path, spelling) == []
+
+
+def test_loading_builds_paths_for_the_root_alone(tmp_path, monkeypatch):
+    """`load_corpus` builds one Path, for its root, and `load_document`
+    none, however many files the corpus holds; each Path view is the
+    Path of the string stored for it."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Path(*args)
+
+    payload = json.dumps({"tokens": ["go", "on"], "references": {"r1": [1], "r2": [0, 1]}})
+    counts, layouts = [], []
+    for docs in (1, 5):
+        root = write_files(tmp_path / f"c{docs}", {"z.json": payload, "notes.md": "", **{
+            f"d{i}/{name}.txt": "go on." for i in range(docs)
+            for name in ("ref_1", "ref_2", "sys_S")}})
+        with monkeypatch.context() as mp:
+            mp.setattr(corpus, "Path", counted)
+            built.clear()
+            layouts.append(load_corpus(root))
+            for files in layouts[-1].documents:
+                load_document(files)
+            counts.append(len(built))
+    assert counts == [1, 1]
+    for files in layouts[-1].documents:
+        stored = [path for _, path in (*files.refs, *files.systems)]
+        assert all(type(path) is str for path in stored) and len(stored) in (0, 3)
+        assert files.ref_paths == tuple((label, Path(path)) for label, path in files.refs)
+        assert files.sys_paths == tuple((label, Path(path)) for label, path in files.systems)
+        assert files.structured_path == (files.structured and Path(files.structured))
+    assert layouts[-1].documents[-1].structured_path == tmp_path / "c5" / "z.json"
 
 
 TEXT_BYTES = st.sampled_from([

@@ -13,7 +13,7 @@ from wisebe import (CANDIDATE, REFERENCE, AlignmentError, BoundaryVector,
 from wisebe.baselines import lenient_prf
 from wisebe.model import _DELETE, _TABLE, INTERNAL_MARKS, SU_DELIMITERS, _scan, align
 from oracles import (positions_by_three_walks, scan_by_characters, scan_by_regex,
-                     transcript_error_by_tokens)
+                     transcript_error_by_tokens, transcript_rejected_by_substrings)
 from strategies import bit_lists, segmented_texts, tokens, upper_alike
 
 # Characters where the unit-length scanner could part ways with the
@@ -457,3 +457,19 @@ def test_transcript_validation_matches_the_token_loop(token_list):
         with pytest.raises(ValueError) as err:
             Transcript("d", token_list)
         assert str(err.value) == expected
+
+
+@given(st.lists(st.text(alphabet="ab.?!;\x00é", max_size=3), min_size=1, max_size=8))
+@example([""])
+@example(["", "a"])
+@example(["a", "b;"])
+def test_transcript_rejects_what_the_substring_check_rejected(token_list):
+    """The truth test and the `__contains__` tests reject exactly the token
+    lists that the substring check they replaced sent to the per-token loop."""
+    try:
+        Transcript("d", token_list)
+    except ValueError:
+        rejected = True
+    else:
+        rejected = False
+    assert rejected == transcript_rejected_by_substrings(token_list)

@@ -85,6 +85,7 @@ def test_record_reprs_are_pinned():
 
 
 _VECTOR = BoundaryVector("d", (0, 1, 1))
+_CAND = BoundaryVector("d", (1, 0, 1), CANDIDATE, "S")
 _DOC = Document(Transcript("d", ("a", "b", "c")), ReferenceSet("d", (_VECTOR, _VECTOR)), ())
 # Candidates a Document refuses, each with the message it refuses it with.
 _BAD_CANDIDATES = [
@@ -96,6 +97,13 @@ _BAD_CANDIDATES = [
      "system 'S' of document 'd': document 'e' vs 'd'"),
     (("S", BoundaryVector("", (0, 0, 1), CANDIDATE)), AlignmentError,
      "system 'S' of document 'd': document '' vs 'd'"),
+    (5, ValueError, "candidate 0 of document 'd' is not a (name, vector) pair"),
+    (("T",), ValueError, "candidate 0 of document 'd' is not a (name, vector) pair"),
+    (("T", _CAND, 1), ValueError, "candidate 0 of document 'd' is not a (name, vector) pair"),
+    (["T", _CAND], ValueError, "candidate 0 of document 'd' is not a (name, vector) pair"),
+    ((1, _CAND), ValueError, "system name 1 of document 'd' is not a non-empty string"),
+    ((b"T", _CAND), ValueError, "system name b'T' of document 'd' is not a non-empty string"),
+    (("", _CAND), ValueError, "system name '' of document 'd' is not a non-empty string"),
 ]
 
 
@@ -156,10 +164,13 @@ def test_replace_and_make_keep_valid_records():
 
 @pytest.mark.parametrize("pair, error, message", _BAD_CANDIDATES,
                          ids=["not-a-vector", "reference-origin", "other-length",
-                              "other-doc-id", "empty-doc-id"])
+                              "other-doc-id", "empty-doc-id", "not-a-tuple", "one-member",
+                              "three-members", "list-pair", "int-name", "bytes-name",
+                              "empty-name"])
 def test_document_checks_each_candidate(pair, error, message):
-    """A candidate must be a vector of candidate origin over the same
-    positions of the same document; each way in runs that check."""
+    """A candidate must be a 2-tuple of a non-empty str name and a vector
+    of candidate origin over the same positions of the same document;
+    each way in runs that check."""
     transcript, refs = _DOC[:2]
     builds = [lambda: Document(transcript, refs, [pair]),
               lambda: Document._make((transcript, refs, [pair])),
@@ -182,3 +193,20 @@ def test_document_keeps_its_candidates_as_a_tuple():
                  _DOC._replace(candidates=[("S", cand)])):
         assert type(twin.candidates) is tuple
         assert twin == doc and hash(twin) == hash(doc)
+
+
+
+@pytest.mark.parametrize("bad", [5, None, tuple(_VECTOR), [_VECTOR]],
+                         ids=["int", "none", "plain-tuple", "list"])
+def test_reference_set_rejects_a_member_that_is_not_a_vector(bad):
+    """A reference that is not a BoundaryVector is a ValueError naming its
+    index, each way in, before any of its attributes is read."""
+    refs = (_VECTOR, bad)
+    builds = [lambda: ReferenceSet("d", refs), lambda: ReferenceSet._make(("d", refs)),
+              lambda: _DOC.references._replace(references=refs),
+              lambda: pickle.loads(pickle.dumps(tuple.__new__(ReferenceSet, ("d", refs))))]
+    for build in builds:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is ValueError
+        assert str(info.value) == "reference 1 of document 'd' is not a BoundaryVector"
