@@ -187,7 +187,8 @@ def _unique(pairs, what: str, *args) -> dict:
     return data
 
 
-def _load_structured(path: str | Path, doc_id: str) -> Document:
+def _load_structured(path: str | Path, doc_id: str) -> tuple[Transcript, dict]:
+    """A `.json` document's transcript and its vectors by origin, in label order."""
     try:
         data = json.loads(_read_text(path),
                           object_pairs_hook=lambda pairs: _unique(pairs, "{}: key", path))
@@ -229,8 +230,7 @@ def _load_structured(path: str | Path, doc_id: str) -> Document:
                     BoundaryVector.from_positions(transcript.n, positions, doc_id, origin, name))
             except ValueError as exc:
                 raise ValueError(f"{doc_id}/{name}: {exc}") from None
-    cands = tuple((vector.label, vector) for vector in vectors[CANDIDATE])
-    return Document(transcript, ReferenceSet(doc_id, tuple(vectors[REFERENCE])), cands)
+    return transcript, vectors
 
 
 def _read_text(path: str | Path) -> str:
@@ -260,35 +260,32 @@ def _read_text(path: str | Path) -> str:
 
 
 def load_document(files: DocumentFiles) -> Document:
-    """Read and align one document; any token disagreement is fatal, and
-    so are two references or two systems with the same label.  Each file
-    after the first is parsed against the first file's transcript and
-    its space-joined text, built once for the document, so a file that
-    holds its tokens shares that `Transcript`.  Only a file that does
-    not is passed to `align`, which words its mismatch."""
+    """Read and align one document: a text file is parsed against the first
+    file's transcript and join, built once, and given to `align` only if it
+    does not share that `Transcript`; a token disagreement and a label given
+    twice are fatal.  Either layout gives a transcript and vectors by origin,
+    and one tail builds the `ReferenceSet` first, so a directory with no
+    file fails as one with too few references, then the `Document`."""
     if files.structured is not None:
-        return _load_structured(files.structured, files.doc_id)
-    for kind, entries in (("reference", files.refs), ("system", files.systems)):
-        _unique(entries, "document {!r}: {} label", files.doc_id, kind)
-    shared: tuple[Transcript, str] | None = None
-    first_label = ""
-    refs: list[BoundaryVector] = []
-    cands: list[tuple[str, BoundaryVector]] = []
-    for origin, entries in ((REFERENCE, files.refs), (CANDIDATE, files.systems)):
-        # In label order, as a structured document is read; labels are unique.
-        for label, path in sorted(entries):
-            transcript, vector = parse_segmented_text(
-                _read_text(path), files.doc_id, label, origin, _shared=shared
-            )
-            if shared is None:
-                shared, first_label = (transcript, " ".join(transcript.tokens)), label
-            elif transcript is not shared[0]:
-                align(shared[0], transcript,
-                      f"document {files.doc_id!r}: {label} does not align with {first_label}: ")
-            if origin == REFERENCE:
-                refs.append(vector)
-            else:
-                cands.append((label, vector))
-    # Built first, so a directory with no file fails as one with too few references.
-    references = ReferenceSet(files.doc_id, tuple(refs))
-    return Document(shared[0], references, tuple(cands))
+        transcript, vectors = _load_structured(files.structured, files.doc_id)
+    else:
+        for kind, entries in (("reference", files.refs), ("system", files.systems)):
+            _unique(entries, "document {!r}: {} label", files.doc_id, kind)
+        shared: tuple[Transcript, str] | None = None
+        first_label = ""
+        vectors = {REFERENCE: [], CANDIDATE: []}
+        for origin, entries in ((REFERENCE, files.refs), (CANDIDATE, files.systems)):
+            # In label order, as a structured document is read; labels are unique.
+            for label, path in sorted(entries):
+                transcript, vector = parse_segmented_text(
+                    _read_text(path), files.doc_id, label, origin, _shared=shared
+                )
+                if shared is None:
+                    shared, first_label = (transcript, " ".join(transcript.tokens)), label
+                elif transcript is not shared[0]:
+                    align(shared[0], transcript,
+                          f"document {files.doc_id!r}: {label} does not align with {first_label}: ")
+                vectors[origin].append(vector)
+        transcript = shared and shared[0]
+    references = ReferenceSet(files.doc_id, tuple(vectors[REFERENCE]))
+    return Document(transcript, references, ((v.label, v) for v in vectors[CANDIDATE]))

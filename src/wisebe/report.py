@@ -30,6 +30,8 @@ class EvalConfig(NamedTuple("EvalConfig", [("window_limit", int), ("baselines", 
             raise ValueError(f"window limit must be an integer, got {window_limit!r}")
         if window_limit < 0:
             raise ValueError(f"window limit must be >= 0, got {window_limit}")
+        if type(baselines) is not bool:
+            raise ValueError(f"baselines must be a bool, got {baselines!r}")
         if consensus_threshold is not None:
             if type(consensus_threshold) is not int:
                 raise BadThreshold(f"threshold must be an integer, got {consensus_threshold!r}")

@@ -1,12 +1,15 @@
 """Hand-made mutants of src/wisebe, each with the tests that must kill it.
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py [NAME ...]
 
 Each mutant replaces one piece of text in one file of a temporary copy of
 the repository and runs only its named tests there; it is killed when
-every one of them fails.  The tests run under the `mutants` Hypothesis
-profile of `tests/conftest.py`, which does not shrink a failing example:
-only the failure counts here.  The named tests first run on the unmutated
+every one of them fails.  Given names, only the mutants whose names
+contain one of them run, so `python3 tests/mutants.py EvalConfig` reruns
+the `EvalConfig` mutants alone; when no mutant matches, the exit code is
+2.  The tests run under the `mutants` Hypothesis profile of
+`tests/conftest.py`, which does not shrink a failing example: only the
+failure counts here.  The named tests first run on the unmutated
 copy, where they must all pass.  One line is printed per mutant, and the
 exit code is 1 if any mutant survives.  `tests/test_mutants.py` checks,
 without running a mutant, that each old text occurs exactly once in its
@@ -127,14 +130,12 @@ MUTANTS = (
            "_shared=shared", '_shared=shared and (shared[0], " ".join(shared[0].tokens))',
            ("tests/test_corpus.py::test_later_files_get_the_join_of_the_first_built_once",)),
     Mutant("each file gets the join of the file before it", "src/wisebe/corpus.py",
-           "            if origin == REFERENCE:\n",
-           '            shared = transcript, " ".join(transcript.tokens)\n'
-           "            if origin == REFERENCE:\n",
+           "                vectors[origin].append(vector)\n",
+           '                shared = transcript, " ".join(transcript.tokens)\n'
+           "                vectors[origin].append(vector)\n",
            ("tests/test_corpus.py::test_later_files_get_the_join_of_the_first_built_once",)),
     Mutant("shared transcript read before the reference set", "src/wisebe/corpus.py",
-           "    references = ReferenceSet(files.doc_id, tuple(refs))\n"
-           "    return Document(shared[0], references, tuple(cands))",
-           "    return Document(shared[0], ReferenceSet(files.doc_id, tuple(refs)), tuple(cands))",
+           "transcript = shared and shared[0]", "transcript = shared[0]",
            ("tests/test_corpus.py::test_load_corpus_requires_two_references_per_directory",)),
     Mutant("no later file aligned", "src/wisebe/corpus.py",
            "elif transcript is not shared[0]:", "elif False:",
@@ -298,6 +299,10 @@ MUTANTS = (
            "if type(consensus_threshold) not in (int, float):",
            ("tests/test_report.py::test_out_of_range_options_fail_before_any_document",
             "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
+    Mutant("EvalConfig accepts a non-bool baselines flag", "src/wisebe/report.py",
+           "if type(baselines) is not bool:", "if not isinstance(baselines, int):",
+           ("tests/test_report.py::test_out_of_range_options_fail_before_any_document",
+            "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
     Mutant("threshold 0 accepted", "src/wisebe/report.py",
            "consensus_threshold < 1:", "consensus_threshold < 0:",
            ("tests/test_cli.py::test_option_out_of_range_exits_two",
@@ -330,8 +335,17 @@ def _run_tests(copy: Path, tests) -> tuple[int, list[str]]:
                              if test not in red and test.split("::")[0] not in red]
 
 
-def main() -> int:
+def select(names) -> tuple[Mutant, ...]:
+    """The mutants whose names contain one of `names`; all of them if none is given."""
+    return tuple(mutant for mutant in MUTANTS
+                 if not names or any(name in mutant.name for name in names))
+
+
+def main(names=()) -> int:
     start = time.perf_counter()
+    if not (mutants := select(names)):
+        print(f"no mutant name contains any of {list(names)}", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         for name in COPIED:
@@ -341,12 +355,12 @@ def main() -> int:
                                 ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
             else:
                 shutil.copy2(source, copy / name)
-        named = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        named = sorted({test for mutant in mutants for test in mutant.tests})
         if _run_tests(copy, named) != (0, named):
             print("the named tests do not all pass on the unmutated code", file=sys.stderr)
             return 2
         survivors = 0
-        for mutant in MUTANTS:
+        for mutant in mutants:
             path = copy / mutant.path
             original = path.read_text(encoding="utf-8")
             assert original.count(mutant.old) == 1, mutant.name
@@ -357,10 +371,10 @@ def main() -> int:
             survivors += bool(passing)
             verdict = f"SURVIVED ({', '.join(passing)} passed)" if passing else "killed"
             print(f"{time.perf_counter() - begun:6.1f} s  {mutant.name}: {verdict}", flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed "
+    print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -33,6 +33,7 @@ import hypothesis.strategies as st
 
 from wisebe.aggregation import build_general_reference, build_window_reference
 from wisebe.corpus import load_corpus, load_document
+from wisebe.errors import USER_ERRORS
 from wisebe.report import EvalConfig, evaluate_agreement, evaluate_corpus, render_report
 from oracles import (agreement_ratio_by_counting, consensus_by_counting,
                      fleiss_kappa_by_table, lenient_prf_by_sets, pearson_by_moments,
@@ -147,6 +148,17 @@ def _reports(root, limit):
     return reports
 
 
+def _loaded(root):
+    """{doc_id: its Document, or the type and message of its error}."""
+    loaded = {}
+    for files in load_corpus(root).documents:
+        try:
+            loaded[files.doc_id] = load_document(files)
+        except USER_ERRORS as exc:
+            loaded[files.doc_id] = (type(exc), str(exc))
+    return loaded
+
+
 def _relabelled_table(table, back=None):
     """The table split into sections, with the rows of the sections that
     name a reference as sorted token lists whose labels are renamed by
@@ -185,6 +197,8 @@ def test_reports_are_invariant_under_layout_order_labels_and_other_systems(corpu
         base = _reports(tmp / "json", limit)
         _write_text(tmp / "text", docs)
         assert _reports(tmp / "text", limit) == base
+        # Candidate names, reference order and origins, below the reports.
+        assert _loaded(tmp / "text") == _loaded(tmp / "json")
 
         # Reference keys written in another order, each with its own marks.
         _write_json(tmp / "reordered", docs, ref_order=lambda doc: doc.order)

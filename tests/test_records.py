@@ -140,6 +140,12 @@ _BAD_CANDIDATES = [
         tuple.__new__(EvalConfig, (2.5, False, None)))), id="evalconfig-pickle-float-limit"),
     pytest.param(BadThreshold, lambda: pickle.loads(pickle.dumps(
         tuple.__new__(EvalConfig, (2, False, True)))), id="evalconfig-pickle-bool-threshold"),
+    pytest.param(ValueError, lambda: EvalConfig()._replace(baselines="no"),
+                 id="evalconfig-replace-str-baselines"),
+    pytest.param(ValueError, lambda: EvalConfig._make((2, None, None)),
+                 id="evalconfig-make-none-baselines"),
+    pytest.param(ValueError, lambda: pickle.loads(pickle.dumps(
+        tuple.__new__(EvalConfig, (2, 1, None)))), id="evalconfig-pickle-int-baselines"),
 ])
 def test_replace_and_make_run_the_constructor_checks(error, build):
     with pytest.raises(error):

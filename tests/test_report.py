@@ -145,8 +145,12 @@ def test_document_failures_are_collected_not_fatal(tmp_path):
     ({"window_limit": "2"}, ValueError, "window limit must be an integer, got '2'"),
     ({"consensus_threshold": 1.5}, BadThreshold, "threshold must be an integer, got 1.5"),
     ({"consensus_threshold": True}, BadThreshold, "threshold must be an integer, got True"),
+    ({"baselines": "no"}, ValueError, "baselines must be a bool, got 'no'"),
+    ({"baselines": None}, ValueError, "baselines must be a bool, got None"),
+    ({"baselines": 1}, ValueError, "baselines must be a bool, got 1"),
 ], ids=["window-limit", "threshold", "window-limit-float", "window-limit-bool",
-        "window-limit-str", "threshold-float", "threshold-bool"])
+        "window-limit-str", "threshold-float", "threshold-bool", "baselines-str",
+        "baselines-none", "baselines-int"])
 def test_out_of_range_options_fail_before_any_document(demo_corpus, monkeypatch,
                                                        options, error, message):
     # No document can accept them, so a library run fails once, with the
