@@ -12,7 +12,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from .errors import BadThreshold, NoBoundaries
-from .model import ReferenceSet, mask_flags
+from .model import ReferenceSet, check_option, mask_flags
 
 # Default number of non-boundary tokens allowed between members of one window.
 DEFAULT_WINDOW_LIMIT = 2
@@ -136,8 +136,7 @@ class WindowReference(NamedTuple):
 
 def build_window_reference(general: GeneralReference,
                            separation_limit: int = DEFAULT_WINDOW_LIMIT) -> WindowReference:
-    if separation_limit < 0:
-        raise ValueError(f"separation limit must be >= 0, got {separation_limit}")
+    check_option(separation_limit, "window limit")
     voted = general.at_least[1]
     limit = min(separation_limit, general.n)
     # An unvoted position j is inside a window when votes at j - a and
@@ -153,6 +152,5 @@ def build_window_reference(general: GeneralReference,
 def consensus_reference(general: GeneralReference, threshold: int) -> int:
     """Majority-style fused reference: the mask of the positions with at
     least `threshold` votes."""
-    if not 1 <= threshold <= general.m:
-        raise BadThreshold(f"threshold {threshold} outside 1..{general.m}")
+    check_option(threshold, "threshold", BadThreshold, low=1, high=general.m)
     return general.at_least[threshold]

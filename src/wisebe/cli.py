@@ -113,7 +113,3 @@ def main(argv=None) -> int:
     finally:
         if collecting:
             gc.enable()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

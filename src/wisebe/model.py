@@ -129,6 +129,7 @@ class BoundaryVector(NamedTuple("BoundaryVector", [("doc_id", str), ("origin", s
     def from_positions(cls, n: int, positions: Iterable[int], doc_id: str = "",
                        origin: str = REFERENCE, label: str = "") -> "BoundaryVector":
         """Marks `positions`, any iterable of exact ints, strictly increasing, in 0..n-1."""
+        check_option(n, "vector length")
         positions = tuple(positions)
         if not set(map(type, positions)) <= {int}:    # type() is exact, so bools fail
             raise ValueError("boundary positions must be a list of integers")
@@ -157,6 +158,16 @@ def check_aligned(left, right, what: str, *args) -> None:
     if left.doc_id != right.doc_id:
         raise AlignmentError(
             f"{what.format(*args)}: document {left.doc_id!r} vs {right.doc_id!r}")
+
+
+def check_option(value, name: str, error=ValueError, low=0, high=None) -> None:
+    """Raise `error` unless `value` is an exact int, so no bool, in low..high (no cap if None)."""
+    if type(value) is not int:
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise error(f"{name} {value} outside {low}..{high}")
 
 
 class ReferenceSet(NamedTuple("ReferenceSet", [("doc_id", str),

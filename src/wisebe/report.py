@@ -15,6 +15,7 @@ from .baselines import (PRF, lenient_prf, mask_prf, mean_prf, mean_ser,
                         strict_prf)
 from .corpus import CorpusLayout, Document, load_document
 from .errors import USER_ERRORS, BadThreshold, ConstantSequence, UnknownFormat
+from .model import check_option
 from .scoring import WisebeScore, arithmetic_mean, mean_defined, window_score
 
 MEAN_ROW_ID = "mean"
@@ -26,17 +27,11 @@ class EvalConfig(NamedTuple("EvalConfig", [("window_limit", int), ("baselines", 
 
     def __new__(cls, window_limit: int = DEFAULT_WINDOW_LIMIT, baselines: bool = False,
                 consensus_threshold: int | None = None):
-        if type(window_limit) is not int:    # exact, so bools fail, as in from_positions
-            raise ValueError(f"window limit must be an integer, got {window_limit!r}")
-        if window_limit < 0:
-            raise ValueError(f"window limit must be >= 0, got {window_limit}")
+        check_option(window_limit, "window limit")
         if type(baselines) is not bool:
             raise ValueError(f"baselines must be a bool, got {baselines!r}")
         if consensus_threshold is not None:
-            if type(consensus_threshold) is not int:
-                raise BadThreshold(f"threshold must be an integer, got {consensus_threshold!r}")
-            if consensus_threshold < 1:
-                raise BadThreshold(f"threshold must be >= 1, got {consensus_threshold}")
+            check_option(consensus_threshold, "threshold", BadThreshold, low=1)
         return tuple.__new__(cls, (window_limit, baselines, consensus_threshold))
 
     _make = classmethod(lambda cls, fields: cls(*fields))    # as Transcript._make

@@ -56,7 +56,7 @@ def windowed_recall(cand: BoundaryVector, windows: WindowReference) -> float:
     """Fraction of windows containing at least one candidate boundary."""
     check_aligned(cand, windows, "candidate vs window reference")
     span, starts = windows.span_mask, windows.starts
-    if (p := windows.p) == 0:
+    if (p := starts.bit_count()) == 0:
         raise NoBoundaries(f"window reference for {windows.doc_id!r} is empty")
     # Adding its first bit to a window minus the candidate's marks
     # carries out past the window's end exactly when it holds no mark.

@@ -250,6 +250,17 @@ MUTANTS = (
            "return general.at_least[threshold]", "return general.at_least[threshold - 1]",
            ("tests/test_aggregation.py::test_consensus_thresholds",
             "tests/test_kernel.py::test_consensus_matches_counting_oracle")),
+    Mutant("window reference skips the option check", "src/wisebe/aggregation.py",
+           '    check_option(separation_limit, "window limit")\n', "",
+           ("tests/test_records.py::test_integer_options_share_one_rule",)),
+    Mutant("consensus reference skips the option check", "src/wisebe/aggregation.py",
+           '    check_option(threshold, "threshold", BadThreshold, low=1, high=general.m)\n', "",
+           ("tests/test_aggregation.py::test_consensus_rejects_bad_threshold",
+            "tests/test_records.py::test_integer_options_share_one_rule")),
+    Mutant("consensus threshold has no upper end", "src/wisebe/aggregation.py",
+           "low=1, high=general.m)", "low=1)",
+           ("tests/test_aggregation.py::test_consensus_rejects_bad_threshold",
+            "tests/test_records.py::test_integer_options_share_one_rule")),
     Mutant(".json references and systems read in key order", "src/wisebe/corpus.py",
            "for name in sorted(section):", "for name in section:",
            ("tests/test_corpus.py::test_load_structured_rejects_malformed_payloads",
@@ -273,6 +284,14 @@ MUTANTS = (
            ("tests/test_model.py::test_from_positions_rejects_what_the_loader_rejected",
             "tests/test_model.py::test_from_positions_matches_the_three_walk_loader_rule",
             "tests/test_corpus.py::test_load_structured_rejects_malformed_payloads")),
+    Mutant("from_positions skips the length check", "src/wisebe/model.py",
+           '        check_option(n, "vector length")\n', "",
+           ("tests/test_records.py::test_integer_options_share_one_rule",)),
+    Mutant("integer options accept bools", "src/wisebe/model.py",
+           "if type(value) is not int:", "if not isinstance(value, int):",
+           ("tests/test_report.py::test_out_of_range_options_fail_before_any_document",
+            "tests/test_records.py::test_replace_and_make_run_the_constructor_checks",
+            "tests/test_records.py::test_integer_options_share_one_rule")),
     Mutant("Document keeps its candidates as given", "src/wisebe/corpus.py",
            "doc_id, candidates = transcript.doc_id, tuple(candidates)",
            "doc_id = transcript.doc_id",
@@ -287,26 +306,33 @@ MUTANTS = (
            "        if collecting:\n            gc.enable()\n", "        pass\n",
            ("tests/test_cli.py::test_main_pauses_the_collector_and_restores_the_callers_state",)),
     Mutant("window limit -1 accepted", "src/wisebe/report.py",
-           "if window_limit < 0:", "if window_limit < -1:",
+           'check_option(window_limit, "window limit")',
+           'check_option(window_limit, "window limit", low=-1)',
            ("tests/test_cli.py::test_option_out_of_range_exits_two",
-            "tests/test_report.py::test_out_of_range_options_fail_before_any_document")),
+            "tests/test_report.py::test_out_of_range_options_fail_before_any_document",
+            "tests/test_records.py::test_integer_options_share_one_rule")),
     Mutant("EvalConfig accepts a float window limit", "src/wisebe/report.py",
-           "if type(window_limit) is not int:", "if type(window_limit) not in (int, float):",
+           "check_option(window_limit,",
+           "check_option(int(window_limit) if type(window_limit) is float else window_limit,",
            ("tests/test_report.py::test_out_of_range_options_fail_before_any_document",
-            "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
+            "tests/test_records.py::test_replace_and_make_run_the_constructor_checks",
+            "tests/test_records.py::test_integer_options_share_one_rule")),
     Mutant("EvalConfig accepts a float threshold", "src/wisebe/report.py",
-           "if type(consensus_threshold) is not int:",
-           "if type(consensus_threshold) not in (int, float):",
+           "check_option(consensus_threshold,",
+           "check_option(int(consensus_threshold) if type(consensus_threshold) is float"
+           " else consensus_threshold,",
            ("tests/test_report.py::test_out_of_range_options_fail_before_any_document",
-            "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
+            "tests/test_records.py::test_replace_and_make_run_the_constructor_checks",
+            "tests/test_records.py::test_integer_options_share_one_rule")),
     Mutant("EvalConfig accepts a non-bool baselines flag", "src/wisebe/report.py",
            "if type(baselines) is not bool:", "if not isinstance(baselines, int):",
            ("tests/test_report.py::test_out_of_range_options_fail_before_any_document",
             "tests/test_records.py::test_replace_and_make_run_the_constructor_checks")),
     Mutant("threshold 0 accepted", "src/wisebe/report.py",
-           "consensus_threshold < 1:", "consensus_threshold < 0:",
+           "BadThreshold, low=1)", "BadThreshold, low=0)",
            ("tests/test_cli.py::test_option_out_of_range_exits_two",
-            "tests/test_report.py::test_out_of_range_options_fail_before_any_document")),
+            "tests/test_report.py::test_out_of_range_options_fail_before_any_document",
+            "tests/test_records.py::test_integer_options_share_one_rule")),
     Mutant("any origin accepted", "src/wisebe/model.py",
            "if origin not in _ORIGINS:", 'if origin not in (*_ORIGINS, "guess"):',
            ("tests/test_model.py::test_boundary_vector_validates_bits",

@@ -4,18 +4,16 @@ every name, count and command line that the README gives."""
 
 import ast
 import inspect
-import os
 import pkgutil
 import re
 import shlex
-import shutil
 import subprocess
-import sys
 
 import pytest
 
 import wisebe
 from conftest import REPO_ROOT
+from interpreters import _environment
 from mutants import MUTANTS
 from wisebe import errors
 from wisebe.cli import build_parser
@@ -92,20 +90,13 @@ def test_readme_command_lines_parse():
         build_parser().parse_args(words[1:])
 
 
-def _runs(python, env):
-    return subprocess.run([python, "-c", "pass"], capture_output=True, env=env).returncode == 0
-
-
 def test_goldens_match_on_the_oldest_supported_python():
     """pyproject.toml promises Python >= 3.11; skipped where no working
-    `python3.11` is on PATH.  A pyenv shim that fails on its own is run
-    with PYENV_VERSION set to the newest installed 3.11."""
-    python, env, pyenv = shutil.which("python3.11"), dict(os.environ), shutil.which("pyenv")
-    if python and pyenv and not _runs(python, env):
-        latest = subprocess.run([pyenv, "latest", "3.11"], capture_output=True, text=True)
-        if latest.returncode == 0:
-            env["PYENV_VERSION"] = latest.stdout.strip()
-    if python is None or not _runs(python, env):
+    `python3.11` is on PATH.  A pyenv shim that fails on its own runs as
+    `tests/interpreters.py` runs it."""
+    python = "python3.11"
+    env, version = _environment(python)
+    if version is None:
         pytest.skip("python3.11 is not available")
     run = subprocess.run([python, str(REPO_ROOT / "benchmarks" / "goldens.py")],
                          capture_output=True, text=True, cwd=REPO_ROOT, env=env)

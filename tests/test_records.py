@@ -11,7 +11,8 @@ from wisebe import (CANDIDATE, AlignmentError, BadThreshold, BoundaryVector,
                     ReferenceSet, Transcript,
                     build_general_reference, build_window_reference,
                     evaluate_agreement, evaluate_corpus, load_corpus,
-                    load_document)
+                    load_document, wisebe_score)
+from wisebe.aggregation import consensus_reference
 from wisebe.baselines import PRF
 from wisebe.report import COLUMNS, DocumentError
 from wisebe.scoring import WisebeScore
@@ -150,6 +151,48 @@ _BAD_CANDIDATES = [
 def test_replace_and_make_run_the_constructor_checks(error, build):
     with pytest.raises(error):
         build()
+
+
+_GENERAL = build_general_reference(_DOC.references)    # m = 2
+# Every public entry point of each integer option, and the error type it raises.
+_OPTION_CALLS = {
+    "window limit": (ValueError, {
+        "EvalConfig": lambda v: EvalConfig(window_limit=v),
+        "build_window_reference": lambda v: build_window_reference(_GENERAL, v),
+        "wisebe_score": lambda v: wisebe_score(_CAND, _DOC.references, v)}),
+    "threshold": (BadThreshold, {
+        "EvalConfig": lambda v: EvalConfig(consensus_threshold=v),
+        "consensus_reference": lambda v: consensus_reference(_GENERAL, v)}),
+    "vector length": (ValueError, {
+        "from_positions": lambda v: BoundaryVector.from_positions(v, [0])}),
+}
+_OPTION_CASES = [
+    ("window limit", 2.5, "window limit must be an integer, got 2.5"),
+    ("window limit", True, "window limit must be an integer, got True"),
+    ("window limit", "2", "window limit must be an integer, got '2'"),
+    ("window limit", -1, "window limit must be >= 0, got -1"),
+    ("threshold", 1.5, "threshold must be an integer, got 1.5"),
+    ("threshold", True, "threshold must be an integer, got True"),
+    ("threshold", 0, "threshold must be >= 1, got 0"),
+    ("vector length", 2.5, "vector length must be an integer, got 2.5"),
+    ("vector length", True, "vector length must be an integer, got True"),
+    ("vector length", -1, "vector length must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("error, call, value, message", [
+    *(pytest.param(_OPTION_CALLS[option][0], call, value, message, id=f"{name}-{value!r}")
+      for option, value, message in _OPTION_CASES
+      for name, call in _OPTION_CALLS[option][1].items()),
+    pytest.param(BadThreshold, lambda v: consensus_reference(_GENERAL, v), 3,
+                 "threshold 3 outside 1..2", id="consensus_reference-m+1"),
+])
+def test_integer_options_share_one_rule(error, call, value, message):
+    """Each integer option fails through every public entry point with the
+    same type and text, EvalConfig's: never a bare TypeError, never a bool."""
+    with pytest.raises(error) as raised:
+        call(value)
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_replace_and_make_keep_valid_records():
